@@ -8,11 +8,16 @@ The determinant of such a matrix splits combinatorially:
   2. after peeling to closure, every residual row AND column carries exactly
      two entries, so the residual decomposes into disjoint alternating cycles;
   3. each cycle admits exactly two matchings, contributing one binomial
-     factor whose relative sign is the parity of the cyclic column rotation;
+     factor;
   4. a row or column running out of entries first means the determinant is 0.
 
-Signs are never taken from a formula: both matchings of every cycle are built
-explicitly and their parities computed against the frame order.
+Signs: the reference matching (forced entries plus the first matching of
+every cycle) is a permutation of the frame order, and its parity is computed
+once per determinant.  A cycle of length r (r rows, r columns) has its second
+matching send row i to the column the first matching gives row i+1 mod r, so
+the two differ by an r-cycle on the cycle's columns.  An r-cycle is a product
+of r-1 transpositions, so the second matching's sign relative to the first is
+(-1)^(r-1), whatever the other cycles do.
 """
 from __future__ import annotations
 
@@ -103,7 +108,8 @@ class BinomialFactor:
         return max(sum(self.a_part), sum(self.b_part))
 
     def as_parampoly(self) -> ParamPoly:
-        return ParamPoly(self.n, {self.a_part: 1, self.b_part: self.sign})
+        # two ParamPolys: a_part == b_part must add up, not overwrite
+        return ParamPoly(self.n, {self.a_part: 1}) + ParamPoly(self.n, {self.b_part: self.sign})
 
     def __str__(self) -> str:
         op = "+" if self.sign > 0 else "-"
@@ -278,7 +284,6 @@ class Decomposition:
     zero: bool
     forced: tuple[MatrixEntry, ...]       # peeled entries, peel order
     circuits: tuple[Circuit, ...]
-    chains: tuple[tuple[MatrixEntry, ...], ...]  # forced entries grouped
 
 
 def _check_matrix(m: "CoeffMatrix | SparseMatrix") -> None:
@@ -293,32 +298,35 @@ def decompose(m: "CoeffMatrix | SparseMatrix") -> Decomposition:
     """Peel forced entries and extract the residual alternating cycles."""
     _check_matrix(m)
     size = m.nrows
-    row_entries: list[list[MatrixEntry]] = [[] for _ in range(size)]
-    col_entries: list[list[MatrixEntry]] = [[] for _ in range(size)]
-    for e in m.entries:
-        row_entries[e.row].append(e)
-        col_entries[e.col].append(e)
+    entries = m.entries
+    # entries are referred to by their position in m.entries
+    row_entries: list[list[int]] = [[] for _ in range(size)]
+    col_entries: list[list[int]] = [[] for _ in range(size)]
+    for k, e in enumerate(entries):
+        row_entries[e.row].append(k)
+        col_entries[e.col].append(k)
     for r in range(size):
         if len(row_entries[r]) > 2:
             raise RowOccupancyError(f"row {r} has {len(row_entries[r])} entries")
-        if len({e.col for e in row_entries[r]}) != len(row_entries[r]):
+        if len({entries[k].col for k in row_entries[r]}) != len(row_entries[r]):
             raise ValidationError("duplicate cell entries")
 
     alive_row = [True] * size
     alive_col = [True] * size
     rcount = [len(row_entries[r]) for r in range(size)]
     ccount = [len(col_entries[c]) for c in range(size)]
-    dead: set[MatrixEntry] = set()
+    dead = [False] * len(entries)
     forced: list[MatrixEntry] = []
     stack = [("row", r) for r in range(size) if rcount[r] == 1]
     stack += [("col", c) for c in range(size) if ccount[c] == 1]
     zero = any(v == 0 for v in rcount) or any(v == 0 for v in ccount)
 
-    def retire(e: MatrixEntry) -> None:
+    def retire(k: int) -> None:
         nonlocal zero
-        if e in dead:
+        if dead[k]:
             return
-        dead.add(e)
+        dead[k] = True
+        e = entries[k]
         rcount[e.row] -= 1
         ccount[e.col] -= 1
         if alive_row[e.row]:
@@ -337,89 +345,76 @@ def decompose(m: "CoeffMatrix | SparseMatrix") -> Decomposition:
         if axis == "row":
             if not alive_row[i] or rcount[i] != 1:
                 continue
-            e = next(x for x in row_entries[i] if x not in dead)
+            k = next(x for x in row_entries[i] if not dead[x])
         else:
             if not alive_col[i] or ccount[i] != 1:
                 continue
-            e = next(x for x in col_entries[i] if x not in dead)
+            k = next(x for x in col_entries[i] if not dead[x])
+        e = entries[k]
         forced.append(e)
         alive_row[e.row] = False
         alive_col[e.col] = False
-        retire(e)
+        retire(k)
         for other in row_entries[e.row]:
             retire(other)
         for other in col_entries[e.col]:
             retire(other)
 
     if zero:
-        return Decomposition(True, tuple(forced), (), ())
+        return Decomposition(True, tuple(forced), ())
 
-    live_rows = [r for r in range(size) if alive_row[r]]
     # peeling closure: a surviving row and column each hold exactly two entries
-    live_row_entries = {r: [e for e in row_entries[r] if e not in dead] for r in live_rows}
-    live_col_entries = {c: [e for e in col_entries[c] if e not in dead]
+    live_row_entries = {r: [k for k in row_entries[r] if not dead[k]]
+                        for r in range(size) if alive_row[r]}
+    live_col_entries = {c: [k for k in col_entries[c] if not dead[k]]
                         for c in range(size) if alive_col[c]}
 
     circuits = []
     seen_rows: set[int] = set()
-    for r0 in live_rows:
+    for r0 in live_row_entries:
         if r0 in seen_rows:
             continue
         rows, cols, match_a, match_b = [], [], [], []
-        r, entry_in = r0, live_row_entries[r0][0]
+        r, ka = r0, live_row_entries[r0][0]
         while r not in seen_rows:
             seen_rows.add(r)
+            kb = next(x for x in live_row_entries[r] if x != ka)
+            ea, eb = entries[ka], entries[kb]
             rows.append(r)
-            ea = entry_in
-            eb = next(x for x in live_row_entries[r] if x is not ea)
             cols.append(ea.col)
             match_a.append(ea)
             match_b.append(eb)
-            entry_in = next(x for x in live_col_entries[eb.col] if x is not eb)
-            r = entry_in.row
+            ka = next(x for x in live_col_entries[eb.col] if x != kb)
+            r = entries[ka].row
         circuits.append(Circuit(tuple(rows), tuple(cols), tuple(match_a), tuple(match_b)))
-
-    # group forced entries into maximal chains: follow row -> dropped b-column
-    by_col = {e.col: e for e in forced}
-    succ = {}
-    for e in forced:
-        other = next((x for x in row_entries[e.row] if x is not e), None)
-        if other is not None and other.col in by_col and by_col[other.col] is not e:
-            succ[e] = by_col[other.col]
-    has_pred = set(succ.values())
-    chains = []
-    for e in forced:
-        if e in has_pred:
-            continue
-        chain = [e]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        chains.append(tuple(chain))
-    return Decomposition(False, tuple(forced), tuple(circuits), tuple(chains))
+    return Decomposition(False, tuple(forced), tuple(circuits))
 
 
-def _parity(perm: list[int]) -> int:
-    seen = [False] * len(perm)
+def _matching_parity(cols: list[int]) -> int:
+    """Sign of the full matching that puts row i in column cols[i]."""
+    seen = [False] * len(cols)
     sign = 1
-    for i in range(len(perm)):
+    for i in range(len(cols)):
         if seen[i]:
             continue
         j, length = i, 0
         while not seen[j]:
             seen[j] = True
-            j = perm[j]
+            j = cols[j]
             length += 1
         if length % 2 == 0:
             sign = -sign
     return sign
 
 
-def _matching_parity(match: dict[int, int]) -> int:
-    """Parity of a full row->column matching relative to sorted positions."""
-    rows = sorted(match)
-    cols = [match[r] for r in rows]
-    rank = {c: i for i, c in enumerate(sorted(cols))}
-    return _parity([rank[c] for c in cols])
+def _signed_monomial(n: int, entries: Iterable[MatrixEntry]) -> tuple[int, Mono]:
+    """Product of the entries: its integer sign and its parameter monomial."""
+    sign = 1
+    mono = [0] * (2 * n)
+    for e in entries:
+        sign *= e.sign
+        mono[(0 if e.kind == "a" else n) + e.index - 1] += 1
+    return sign, tuple(mono)
 
 
 def factor_determinant(m: "CoeffMatrix | SparseMatrix") -> FactoredPoly:
@@ -431,48 +426,33 @@ def factor_determinant(m: "CoeffMatrix | SparseMatrix") -> FactoredPoly:
     if dec.zero:
         return FactoredPoly.zero_poly(n)
 
-    sign = 1
-    monomial = [0] * (2 * n)
+    sign, monomial = _signed_monomial(n, dec.forced)
+    reference = [0] * m.nrows
     for e in dec.forced:
-        sign *= e.sign
-        pos = (0 if e.kind == "a" else n) + e.index - 1
-        monomial[pos] += 1
-
-    reference = {e.row: e.col for e in dec.forced}
+        reference[e.row] = e.col
     for c in dec.circuits:
         for e in c.match_a:
             reference[e.row] = e.col
-    ref_parity = _matching_parity(reference)
-    sign *= ref_parity
+    sign *= _matching_parity(reference)
 
     factors: dict[BinomialFactor, int] = {}
     for circuit in dec.circuits:
-        mono_a = [0] * (2 * n)
-        sign_a = 1
-        for e in circuit.match_a:
-            sign_a *= e.sign
-            mono_a[(0 if e.kind == "a" else n) + e.index - 1] += 1
-        mono_b = [0] * (2 * n)
-        sign_b = 1
-        for e in circuit.match_b:
-            sign_b *= e.sign
-            mono_b[(0 if e.kind == "a" else n) + e.index - 1] += 1
-        flipped = dict(reference)
-        for e in circuit.match_b:
-            flipped[e.row] = e.col
-        rel = ref_parity * _matching_parity(flipped)
+        sign_a, mono_a = _signed_monomial(n, circuit.match_a)
+        sign_b, mono_b = _signed_monomial(n, circuit.match_b)
+        rel = -1 if len(circuit.rows) % 2 == 0 else 1  # (-1)^(r-1), see module docstring
         # det contribution: sign_a*mono_a + rel*sign_b*mono_b
-        #                 = sign_a * (mono_a + rel*sign_a*sign_b*mono_b)
+        #                 = sign_a * (mono_a + coef*mono_b)
+        coef = rel * sign_a * sign_b
+        if mono_a == mono_b and coef < 0:
+            return FactoredPoly.zero_poly(n)  # the circuit's two matchings cancel
         sign *= sign_a
-        factor, extracted = _canonical_factor(
-            n, tuple(mono_a), tuple(mono_b), rel * sign_a * sign_b
-        )
+        factor, extracted = _canonical_factor(n, mono_a, mono_b, coef)
         sign *= extracted
         if any(e > 1 for e in factor.a_part) or any(e > 1 for e in factor.b_part):
             logger.debug("circuit with repeated generator indices: %s", factor)
         factors[factor] = factors.get(factor, 0) + 1
 
-    return FactoredPoly(n, sign, tuple(monomial), factors)
+    return FactoredPoly(n, sign, monomial, factors)
 
 
 def circuits_of(m: "CoeffMatrix | SparseMatrix") -> list[Circuit]:

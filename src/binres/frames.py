@@ -14,6 +14,7 @@ columns are the square-free monomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import InternalCheckError, ValidationError
 from .polynomials import Mono, is_squarefree, mono_mul, monomials
@@ -65,6 +66,10 @@ class ColumnFrame:
 
 def build_frame(n: int, lam: int, order=None) -> MonomialFrame:
     """The sets M_1(lambda) ⊇ ... ⊇ M_n(lambda) under the given order."""
+    if n < 1:
+        raise ValidationError("frames need n >= 1")
+    if lam < 0:
+        raise ValidationError("frames need lambda >= 0")
     order = check_order(n, order or identity_order(n))
     all_monos = monomials(n, lam)
     sets = []
@@ -88,7 +93,7 @@ def build_row_frame(n: int, lam: int, order=None) -> RowFrame:
         for m in frame.sets[g]:
             rows.append((m, j))
     rf = RowFrame(n, lam, frame.order, tuple(rows))
-    expected = len(monomials(n, lam)) - len([m for m in monomials(n, lam) if is_squarefree(m)])
+    expected = comb(n + lam - 1, lam) - comb(n, lam)
     if rf.size != expected:
         raise InternalCheckError(
             f"row count {rf.size} != dim R_{lam} - C({n},{lam}) = {expected}"

@@ -161,28 +161,32 @@ def span_rows(system: BinomialSystem, lam: int) -> tuple[list[list[int]], list]:
     return out, basis
 
 
-def _rank_mod(mat: np.ndarray, p: int) -> int:
+def _row_reduce_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Row echelon form of mat mod p with unit pivots, and its (row, col) pivots.
+
+    The rank is the number of pivots; a vector lies in the row span iff
+    reducing it against the pivots in order leaves zero.
+    """
     a = np.mod(mat, p).astype(np.int64)
     nrows, ncols = a.shape
-    r = 0
+    pivots: list[tuple[int, int]] = []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         rest = np.nonzero(a[r + 1:, c])[0]
         if rest.size:
             rows = rest + r + 1
             a[rows] = (a[rows] - a[rows, c][:, None] * a[r][None, :]) % p
-        r += 1
-    return r
+        pivots.append((r, c))
+    return a, pivots
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -190,10 +194,10 @@ def int_rank(rows: list[list[int]]) -> int:
     if not rows:
         return 0
     reduced = np.array([[v % RANK_PRIMES[0] for v in row] for row in rows], dtype=np.int64)
-    r0 = _rank_mod(reduced, RANK_PRIMES[0])
+    r0 = len(_row_reduce_mod(reduced, RANK_PRIMES[0])[1])
     for p in RANK_PRIMES[1:]:
         reduced = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-        r1 = _rank_mod(reduced, p)
+        r1 = len(_row_reduce_mod(reduced, p)[1])
         if r1 == r0:
             return r0
         logger.warning("modular rank disagreement (%d vs %d), escalating", r0, r1)
@@ -241,25 +245,7 @@ def membership_batch(system: BinomialSystem, lam: int, polys: list[XPoly]) -> li
     def reduce_all(p: int) -> list[bool]:
         mat = np.array([[v % p for v in row] for row in rows], dtype=np.int64) \
             if rows else np.zeros((0, len(basis)), dtype=np.int64)
-        a = mat.copy()
-        pivots = []  # (row, col)
-        r = 0
-        for c in range(a.shape[1]):
-            if r == a.shape[0]:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                a[[r, piv]] = a[[piv, r]]
-            a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-            rest = np.nonzero(a[r + 1:, c])[0]
-            if rest.size:
-                idx = rest + r + 1
-                a[idx] = (a[idx] - a[idx, c][:, None] * a[r][None, :]) % p
-            pivots.append((r, c))
-            r += 1
+        a, pivots = _row_reduce_mod(mat, p)
         out = []
         for vec in vectors:
             v = np.array([x % p for x in vec], dtype=np.int64)

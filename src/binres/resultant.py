@@ -8,9 +8,7 @@ result is normalized so the pure-a term has coefficient +1.
 """
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -160,29 +158,16 @@ def factored_gcd(polys: list[FactoredPoly]) -> FactoredPoly:
     return FactoredPoly(nonzero[0].n, 1, tuple(mono), factors)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("BINRES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def resultant(system: BinomialSystem) -> FactoredPoly:
     """GCD of Delta_{n+1} over the n cyclic index orders, pure-a term +1."""
     _require_symbolic(system)
-    n = system.n
-    lam = n + 1
-    orders = cyclic_orders(n)
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            deltas = list(pool.map(lambda o: delta(system, lam, o), orders))
-    else:
-        deltas = [delta(system, lam, o) for o in orders]
-    for o, d in zip(orders, deltas):
+    lam = system.n + 1
+    deltas = []
+    for o in cyclic_orders(system.n):
+        d = delta(system, lam, o)
         if d.is_zero():
             raise DegenerateSystemError(f"Delta_{lam} vanishes for order {o}")
+        deltas.append(d)
     return factored_gcd(deltas)
 
 

@@ -324,25 +324,52 @@ def parse_x_polynomial(text: str, n: int) -> XPoly:
     return poly
 
 
+def _field(obj, key: str, where: str):
+    """obj[key] of a JSON object, or a ValidationError naming what is missing."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValidationError(f"{where} needs a {key!r} field")
+    return obj[key]
+
+
+def _json_int(value, what: str) -> int:
+    # JSON true/false load as bool, which is an int subclass
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def _json_rational(value, what: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{what} must be a rational, got {value!r}") from None
+
+
 def _system_from_json(doc: dict) -> "BinomialSystem":
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema {doc.get('schema')!r}")
-    n = doc["n"]
-    forms = doc["forms"]
+    n = _json_int(_field(doc, "n", "system"), "n")
+    forms = _field(doc, "forms", "system")
     if not isinstance(forms, list) or len(forms) != n:
         raise ValidationError(f"expected {n} forms")
     by_square = {}
     for entry in forms:
-        by_square[int(entry["square"])] = entry
+        by_square[_json_int(_field(entry, "square", "form"), "square")] = entry
     if sorted(by_square) != list(range(1, n + 1)):
         raise ValidationError("need exactly one form per square index 1..n")
-    cofactors = [tuple(by_square[i]["cofactor"]) for i in range(1, n + 1)]
+    cofactors = []
+    for i in range(1, n + 1):
+        cof = _field(by_square[i], "cofactor", f"form {i}")
+        if not isinstance(cof, list) or len(cof) != 2:
+            raise ValidationError(f"cofactor of form {i} must be a pair of indices")
+        cofactors.append(tuple(_json_int(v, f"cofactor index of form {i}") for v in cof))
     has_values = ["a" in by_square[i] for i in range(1, n + 1)]
     if any(has_values) and not all(has_values):
         raise ValidationError("mixed symbolic and specialized forms")
     values = None
     if all(has_values):
-        values = [(Fraction(str(by_square[i]["a"])), Fraction(str(by_square[i]["b"])))
+        values = [tuple(_json_rational(_field(by_square[i], k, f"form {i}"), f"{k} of form {i}")
+                        for k in ("a", "b"))
                   for i in range(1, n + 1)]
     return make_system(n, cofactors, values, doc.get("order"), doc.get("alias", "b"))
 
@@ -361,8 +388,11 @@ def parse(text: str):
         if "quadratic_space" in doc:
             from .normal_form import QuadraticSpace
 
-            n = doc["n"]
-            forms = [parse_x_polynomial(s, n) for s in doc["quadratic_space"]]
+            n = _json_int(_field(doc, "n", "quadratic space"), "n")
+            space = doc["quadratic_space"]
+            if not isinstance(space, list) or not all(isinstance(s, str) for s in space):
+                raise ValidationError("quadratic_space must be a list of form strings")
+            forms = [parse_x_polynomial(s, n) for s in space]
             return QuadraticSpace.from_forms(forms)
         return _system_from_json(doc)
     if re.match(r"\s*g\d+\s*=", stripped):

@@ -126,6 +126,35 @@ def test_invalid_system_exits_one(tmp_path):
     assert code == 1
 
 
+_FORMS = [{"square": 1, "cofactor": [1, 2]}, {"square": 2, "cofactor": [1, 2]}]
+_VALUED = [dict(f, a="1", b="2") for f in _FORMS]
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema": 1, "forms": _FORMS},
+    {"schema": 1, "n": 2},
+    {"schema": 1, "n": 2, "forms": [{"cofactor": [1, 2]}, _FORMS[1]]},
+    {"schema": 1, "n": 2, "forms": [{"square": 1}, _FORMS[1]]},
+    {"schema": 1, "n": 0, "forms": []},
+    {"schema": 1, "n": "2", "forms": _FORMS},
+    {"schema": 1, "n": 2.0, "forms": _FORMS},
+    {"schema": 1, "n": True, "forms": _FORMS[:1]},
+    {"schema": 1, "n": 2, "forms": [dict(_VALUED[0], a="x"), _VALUED[1]]},
+    {"schema": 1, "n": 2, "forms": [dict(_VALUED[0], b="1/0"), _VALUED[1]]},
+    {"schema": 1, "n": 2, "forms": [dict(_VALUED[0], a=None), _VALUED[1]]},
+    {"schema": 1, "quadratic_space": ["x1^2", "x2^2"]},
+    {"schema": 1, "n": -1, "quadratic_space": ["x1^2", "x2^2"]},
+], ids=["no-n", "no-forms", "no-square", "no-cofactor", "n-zero", "n-string", "n-float",
+        "n-bool", "a-not-rational", "b-zero-denominator", "a-null", "space-no-n",
+        "space-negative-n"])
+def test_malformed_json_exits_one(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli("resultant", str(bad))
+    assert code == 1
+    assert err.startswith("binres: error:")
+
+
 def test_json_flag_structured_output():
     code, out, _ = run_cli("resultant", str(SYSTEMS / "cyclic23.json"), "--json")
     assert code == 0
@@ -147,6 +176,14 @@ def test_frames_full_listing():
     code, out, _ = run_cli("frames", "--n", "2", "--lambda", "1", "--full")
     assert code == 0
     assert "M_1: x1, x2" in out and "M_2: x1, x2" in out
+
+
+@pytest.mark.parametrize("n, lam", [(0, 2), (-1, 2), (3, -1)])
+def test_frames_rejects_bad_sizes(n, lam):
+    code, out, err = run_cli("frames", "--n", str(n), "--lambda", str(lam))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("binres: error:")
 
 
 def test_matrix_dense_mode():
@@ -218,12 +255,3 @@ def test_internal_check_failure_exits_two(monkeypatch):
     code, out, err = run_cli("frames", "--n", "2", "--lambda", "1")
     assert code == 2
     assert "internal check failed" in err
-
-
-def test_thread_cap_env_var_is_deterministic(monkeypatch):
-    argv = ["resultant", str(SYSTEMS / "cyclic23.json")]
-    base = run_cli(*argv)
-    monkeypatch.setenv("BINRES_THREADS", "3")
-    assert run_cli(*argv) == base
-    monkeypatch.setenv("BINRES_THREADS", "not-a-number")
-    assert run_cli(*argv) == base

@@ -95,6 +95,19 @@ def test_zero_row_gives_zero():
     assert factor_determinant(m).is_zero()
 
 
+def test_circuit_with_equal_matchings():
+    # both matchings of the 2-cycle carry a1^2: det is a1^2 - a1^2 or a1^2 + a1^2
+    cancel = SparseMatrix.from_triples(1, 2, [(0, 0, "a", 1), (0, 1, "a", 1),
+                                             (1, 0, "a", 1), (1, 1, "a", 1)])
+    assert factor_determinant(cancel).is_zero()
+    double = SparseMatrix.from_triples(1, 2, [(0, 0, "a", 1), (0, 1, "a", 1),
+                                             (1, 0, "a", 1, -1), (1, 1, "a", 1)])
+    fp = factor_determinant(double)
+    a1 = ParamPoly.param("a", 1, 1)
+    assert fp.expand() == brute_force_det(double) == a1 * a1 * 2
+    assert fp.specialize({"a1": 3, "b1": 1}) == 18
+
+
 def test_non_square_rejected():
     m = SparseMatrix(2, 2, 3, tuple())
     with pytest.raises(NonSquareMatrixError):
@@ -155,6 +168,44 @@ def test_irreducible_p_case_sign_law(rng):
         assert factor.sign == (-1) ** (size + 1)
         assert factor.a_part == (1,) * size + (0,) * size
         assert factor.b_part == (0,) * size + (1,) * size
+
+
+def random_signed_matrix(rng: random.Random, lengths: list[int],
+                         n_tree: int) -> SparseMatrix:
+    """Random matrix of +-1-signed entries, at most two per row: one circuit
+    per entry of `lengths`, plus `n_tree` rows that the peel forces.
+
+    Logical row i holds an entry in logical column i.  A circuit on rows
+    s..s+k-1 adds row s+j -> column s+(j+1) mod k; tree row t may add an
+    entry in any earlier column, so column t only holds entries of rows >= t
+    and the tree peels from the last row back.  Rows and columns are then
+    shuffled.
+    """
+    n = 4
+    size = sum(lengths) + n_tree
+    row_of = rng.sample(range(size), size)
+    col_of = rng.sample(range(size), size)
+    cells = [(i, i) for i in range(size)]
+    start = 0
+    for k in lengths:
+        cells += [(start + j, start + (j + 1) % k) for j in range(k)]
+        start += k
+    cells += [(t, rng.randrange(t)) for t in range(start, size) if rng.random() < 0.8]
+    return SparseMatrix.from_triples(n, size, [
+        (row_of[r], col_of[c], rng.choice("ab"), rng.randint(1, n), rng.choice((1, -1)))
+        for r, c in cells
+    ])
+
+
+def test_signed_entries_with_forced_and_several_circuits(rng):
+    for _ in range(60):
+        lengths = [rng.choice((2, 4)), 3] + rng.sample([2, 3], rng.randint(0, 1))
+        n_tree = rng.randint(1, 3)
+        m = random_signed_matrix(rng, lengths, n_tree)
+        dec = decompose(m)
+        assert len(dec.forced) == n_tree
+        assert sorted(len(c.rows) for c in dec.circuits) == sorted(lengths)
+        assert factor_determinant(m).expand() == brute_force_det(m)
 
 
 def test_brute_force_agreement_small_random(rng):
@@ -228,7 +279,6 @@ def test_decompose_reports_chains():
     assert not dec.zero
     peeled = {(e.row, e.col) for e in dec.forced}
     assert peeled == {(0, 0), (1, 1)}
-    assert all(chain for chain in dec.chains)
 
 
 def test_circuit_hops_alternate(rng):
