@@ -1,9 +1,10 @@
 """Exact resultants of quadratic binomial complete intersections.
 
-The library computes factored resultants via circuit decomposition of the
-sparse coefficient matrices C(lambda), realizes the square-free monomial
-basis rewriting for specialized complete intersections, and reproduces the
-built-in quintic Macaulay duals, their Hilbert functions and higher Hessians.
+The library computes factored resultants from the cycles of the functional
+graph behind the sparse coefficient matrices C(lambda), realizes the
+square-free monomial basis rewriting for specialized complete intersections,
+and reproduces the built-in quintic Macaulay duals, their Hilbert functions
+and higher Hessians.
 """
 
 __version__ = "1.0.0"

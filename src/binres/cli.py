@@ -61,13 +61,17 @@ def _load_specialized(system: BinomialSystem, spec: str | None) -> BinomialSyste
 def _parse_order(raw: str | None, n: int):
     if raw is None:
         return None
-    parts = [p for p in raw.split(",") if p.strip()]
-    if len(parts) == 1:
-        k = int(parts[0])
+    try:
+        values = [int(p) for p in raw.split(",") if p.strip()]
+    except ValueError:
+        raise ValidationError(f"--order needs a cyclic shift index or a permutation "
+                              f"of 1..{n}, got {raw!r}") from None
+    if len(values) == 1:
+        k = values[0]
         if not 1 <= k <= n:
             raise ValidationError(f"cyclic order index {k} out of range 1..{n}")
         return cyclic_orders(n)[k - 1]
-    return tuple(int(p) for p in parts)
+    return tuple(values)
 
 
 def _fractions(raw: str, count: int, what: str) -> list[Fraction]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .frames import ColumnFrame, RowFrame, build_column_frame, build_row_frame
-from .polynomials import RATIONAL, mono_mul
+from .frames import ColumnFrame, RowFrame, build_column_frame, build_row_frame, check_order
+from .polynomials import RATIONAL
 from .systems import BinomialSystem
 
 
@@ -73,30 +73,36 @@ class CoeffMatrix:
 def _build(system: BinomialSystem, lam: int, order, square: bool) -> CoeffMatrix:
     if lam < 2:
         raise ValidationError("coefficient matrices need lambda >= 2")
-    order = tuple(order) if order is not None else system.order
+    order = check_order(system.n, system.order if order is None else order)
     row_frame = build_row_frame(system.n, lam, order)
     column_frame = build_column_frame(row_frame)
     col_index = {m: k for k, m in enumerate(column_frame.columns)}
     ncols = column_frame.split if square else len(column_frame.columns)
     specialized = system.mode == RATIONAL
 
+    # row r's a-entry sits in its paired column r; entries are emitted in
+    # (row, col) order
     entries = []
     for r, (m, j) in enumerate(row_frame.rows):
         gen = system.generator(j)
-        sq = [0] * system.n
-        sq[j - 1] = 2
-        ca = col_index[mono_mul(m, tuple(sq))]
-        cb = col_index[mono_mul(m, gen.cofactor_mono(system.n))]
+        k, l = gen.cofactor
+        w = list(m)
+        w[k - 1] += 1
+        w[l - 1] += 1
+        cb = col_index[tuple(w)]
+        row = []
         if specialized:
             if gen.a != 0:
-                entries.append(MatrixEntry(r, ca, "a", j, 1, gen.a))
+                row.append(MatrixEntry(r, r, "a", j, 1, gen.a))
             if gen.b != 0 and cb < ncols:
-                entries.append(MatrixEntry(r, cb, "b", j, 1, gen.b))
+                row.append(MatrixEntry(r, cb, "b", j, 1, gen.b))
         else:
-            entries.append(MatrixEntry(r, ca, "a", j))
+            row.append(MatrixEntry(r, r, "a", j))
             if cb < ncols:
-                entries.append(MatrixEntry(r, cb, "b", j))
-    entries.sort(key=lambda e: (e.row, e.col))
+                row.append(MatrixEntry(r, cb, "b", j))
+        if len(row) == 2 and cb < r:
+            row.reverse()
+        entries.extend(row)
     return CoeffMatrix(system, lam, order, row_frame, column_frame, tuple(entries), square)
 
 

@@ -1,6 +1,19 @@
 """Determinant factorization for matrices with at most two entries per row.
 
-The determinant of such a matrix splits combinatorially:
+Delta_lambda = det C(lambda) is computed without building C (`factor_by_walk`).
+Row (m, j) of C(lambda) holds a_j in its paired column w = m*x_j^2 (the
+diagonal) and b_j in the column w/x_j^2 * m_j, dropped when that is
+square-free.  So the b-entries form a functional graph on the non-square-free
+monomials w, with the successor map `frames.pairing_step`, and a permutation
+in the expansion of det C picks b-entries exactly on a union of the graph's
+cycles.  Hence a node off every cycle contributes its a_j, and a cycle of
+length r contributes prod a + (-1)^(r-1) prod b (the sign of an r-cycle).
+One coloured pass over the nodes finds the cycles.
+
+The general engine (`factor_determinant`) factors any matrix with at most two
+entries per row; on C(lambda) it is the cross-check of the walk, together with
+the modular oracle `det_mod`.  The determinant of such a matrix splits
+combinatorially:
 
   1. every column or row with a single nonzero entry forces that entry into
      each perfect matching — peel it into the monomial part (tracking the
@@ -24,16 +37,20 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping
 
 from .coeff_matrix import CoeffMatrix, MatrixEntry
 from .errors import (
+    InternalCheckError,
     ModeMismatchError,
     NonSquareMatrixError,
     RowOccupancyError,
     ValidationError,
 )
-from .polynomials import Mono, ParamPoly
+from .frames import check_order, pairing_step
+from .polynomials import SYMBOLIC, Mono, ParamPoly, monomials
+from .systems import BinomialSystem
 
 logger = logging.getLogger(__name__)
 
@@ -458,3 +475,62 @@ def factor_determinant(m: "CoeffMatrix | SparseMatrix") -> FactoredPoly:
 def circuits_of(m: "CoeffMatrix | SparseMatrix") -> list[Circuit]:
     """The residual cycles of the matrix digraph, one per binomial factor."""
     return list(decompose(m).circuits)
+
+
+# --------------------------------------------------------------------------
+# the successor-map walk
+# --------------------------------------------------------------------------
+
+def factor_by_walk(system: BinomialSystem, lam: int, order=None) -> FactoredPoly:
+    """Factored det C(lambda) of a symbolic system, from the successor map.
+
+    Equal to factor_determinant(build_c(system, lam, order)); see the module
+    docstring.
+    """
+    if system.mode != SYMBOLIC:
+        raise ModeMismatchError("factor_by_walk works on symbolic systems; "
+                                "specialize the factored result instead")
+    if lam < 2:
+        raise ValidationError("coefficient matrices need lambda >= 2")
+    n = system.n
+    order = check_order(n, system.order if order is None else order)
+    cofactors = system.pattern()
+
+    walk_of: dict[Mono, int] = {}  # node -> the walk that reached it first
+    paired = [0] * n               # nodes paired with each generator, then off-cycle only
+    factors: dict[BinomialFactor, int] = {}
+    for walk, start in enumerate(monomials(n, lam)):
+        if start in walk_of or max(start) < 2:
+            continue
+        path: list[Mono] = []
+        gens: list[int] = []
+        w = start
+        while True:
+            walk_of[w] = walk
+            path.append(w)
+            j, w = pairing_step(w, order, cofactors)
+            paired[j - 1] += 1
+            gens.append(j)
+            if max(w) < 2:           # the b-entry's column is square-free: dropped
+                break
+            seen = walk_of.get(w)
+            if seen is None:
+                continue
+            if seen == walk:         # back on this walk's own path: a cycle
+                cycle = gens[path.index(w):]
+                a_part, b_part = [0] * (2 * n), [0] * (2 * n)
+                for g in cycle:
+                    a_part[g - 1] += 1
+                    b_part[n + g - 1] += 1
+                    paired[g - 1] -= 1
+                rel = -1 if len(cycle) % 2 == 0 else 1  # (-1)^(r-1)
+                # the pure-a side is the larger, so no sign is extracted
+                factor, _ = _canonical_factor(n, tuple(a_part), tuple(b_part), rel)
+                factors[factor] = factors.get(factor, 0) + 1
+            break
+
+    expected = comb(n + lam - 1, lam) - comb(n, lam)
+    if len(walk_of) != expected:
+        raise InternalCheckError(
+            f"node count {len(walk_of)} != dim R_{lam} - C({n},{lam}) = {expected}")
+    return FactoredPoly(n, 1, tuple(paired) + (0,) * n, factors)

@@ -10,14 +10,20 @@ m ∈ M_g(lambda-2) for group g and j' the g-th index of the order; the column
 paired with a row is m·x_{j'}^2, and the map (m, j') -> m·x_{j'}^2 is a
 bijection onto the non-square-free monomials of degree lambda.  The trailing
 columns are the square-free monomials.
+
+Read backwards, the pairing sends a non-square-free w to the row (w/x_j^2, j)
+with j the first index of the order whose exponent in w is >= 2; that row's
+b_j entry sits in the column (w/x_j^2)*m_j.  `pairing_step` is this successor
+map, which both the determinant walk and the square-free rewriting follow.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .errors import InternalCheckError, ValidationError
-from .polynomials import Mono, is_squarefree, mono_mul, monomials
+from .polynomials import Mono, monomials
 
 
 def identity_order(n: int) -> tuple[int, ...]:
@@ -30,10 +36,32 @@ def cyclic_orders(n: int) -> list[tuple[int, ...]]:
 
 
 def check_order(n: int, order) -> tuple[int, ...]:
+    """The order as a tuple, once it is a list or tuple of ints permuting 1..n."""
+    # JSON true/false load as bool, which is an int subclass
+    if not isinstance(order, (list, tuple)) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in order):
+        raise ValidationError(f"an order must be a list of integers, got {order!r}")
     order = tuple(order)
     if sorted(order) != list(range(1, n + 1)):
         raise ValidationError(f"{order} is not a permutation of 1..{n}")
     return order
+
+
+def pairing_step(w: Mono, order: tuple[int, ...],
+                 cofactors: tuple[tuple[int, int], ...]) -> tuple[int, Mono]:
+    """(j, w/x_j^2 * m_j) for a non-square-free w, j its frame pairing index.
+
+    cofactors[j-1] holds the 1-based variable indices of m_j.
+    """
+    for j in order:
+        if w[j - 1] >= 2:
+            k, l = cofactors[j - 1]
+            nxt = list(w)
+            nxt[j - 1] -= 2
+            nxt[k - 1] += 1
+            nxt[l - 1] += 1
+            return j, tuple(nxt)
+    raise ValueError(f"{w} is square-free")
 
 
 @dataclass(frozen=True)
@@ -106,12 +134,13 @@ def build_column_frame(row_frame: RowFrame) -> ColumnFrame:
     n, lam = row_frame.n, row_frame.lam
     cols = []
     for m, j in row_frame.rows:
-        sq = [0] * n
-        sq[j - 1] = 2
-        cols.append(mono_mul(m, tuple(sq)))
+        w = list(m)
+        w[j - 1] += 2
+        cols.append(tuple(w))
     if len(set(cols)) != len(cols):
         raise InternalCheckError("row/column pairing is not injective")
-    tail = [m for m in monomials(n, lam) if is_squarefree(m)]
+    # combinations in lex order give the square-free monomials in descending lex
+    tail = [tuple(1 if i in c else 0 for i in range(n)) for c in combinations(range(n), lam)]
     if set(cols) & set(tail):
         raise InternalCheckError("paired column claims to be square-free")
     return ColumnFrame(n, lam, tuple(cols) + tuple(tail), len(cols))

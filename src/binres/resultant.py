@@ -1,10 +1,12 @@
 """Delta chains and the resultant of a binomial system.
 
-Delta_lambda is the factored determinant of C(lambda).  The resultant is the
-GCD of the n determinants Delta_{n+1}^sigma taken over the n cyclic index
-orders; on canonical factorizations the GCD is the atom-wise multiset
-intersection together with the entry-wise minimum on the monomial part.  The
-result is normalized so the pure-a term has coefficient +1.
+Delta_lambda is the factored determinant of C(lambda), computed by walking the
+successor map of the frame pairing (`det_factor.factor_by_walk`) without
+building the matrix.  The resultant is the GCD of the n determinants
+Delta_{n+1}^sigma taken over the n cyclic index orders; on canonical
+factorizations the GCD is the atom-wise multiset intersection together with
+the entry-wise minimum on the monomial part.  The result is normalized so the
+pure-a term has coefficient +1.
 """
 from __future__ import annotations
 
@@ -12,10 +14,9 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff_matrix import build_c
-from .det_factor import BinomialFactor, FactoredPoly, factor_determinant
+from .det_factor import BinomialFactor, FactoredPoly, factor_by_walk
 from .errors import DegenerateSystemError, InternalCheckError, ValidationError
-from .frames import cyclic_orders
+from .frames import check_order, cyclic_orders
 from .polynomials import SYMBOLIC, normalize_assignment
 from .systems import BinomialSystem
 
@@ -42,14 +43,14 @@ def _require_symbolic(system: BinomialSystem) -> None:
 def delta(system: BinomialSystem, lam: int, order=None) -> FactoredPoly:
     """Factored Delta_lambda = det C(lambda) for one index order."""
     _require_symbolic(system)
-    return factor_determinant(build_c(system, lam, order))
+    return factor_by_walk(system, lam, order)
 
 
 def delta_chain(system: BinomialSystem, order=None) -> DeltaChain:
     """The chain Delta_2, ..., Delta_{n+1}; its invariants are re-checked."""
     _require_symbolic(system)
-    order = tuple(order) if order is not None else system.order
     n = system.n
+    order = check_order(n, system.order if order is None else order)
     deltas = tuple(delta(system, lam, order) for lam in range(2, n + 2))
     if deltas[0] != FactoredPoly(n, 1, (1,) * n + (0,) * n, {}):
         raise InternalCheckError("Delta_2 is not a_1 * ... * a_n")

@@ -1,12 +1,13 @@
 """Square-free basis rewriting for specialized complete intersections.
 
 Every generator row reads a_j*(m*x_j^2) + b_j*(m*m_j), so modulo the ideal a
-non-square-free monomial w = m*x_j^2 rewrites to -(b_j/a_j) * (m*m_j): the
-rewrite graph is functional (one successor per monomial).  Following it,
-every monomial of degree 2..n+1 collapses to a rational multiple of a single
-square-free monomial, or to 0 when it feeds a cycle whose loop product is not
-1.  A loop product of exactly 1 (or a vanishing a_j) is precisely a singular
-C(lambda); that raises SingularCoeffMatrixError.
+non-square-free monomial w = m*x_j^2 rewrites to -(b_j/a_j) * (m*m_j), with j
+and m*m_j given by `frames.pairing_step`: the rewrite graph is functional (one
+successor per monomial).  Following it, every monomial of degree 2..n+1
+collapses to a rational multiple of a single square-free monomial, or to 0
+when it feeds a cycle whose loop product is not 1.  A loop product of exactly
+1 (or a vanishing a_j) is precisely a singular C(lambda); that raises
+SingularCoeffMatrixError.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DegreeRangeError, SingularCoeffMatrixError, ValidationError
-from .polynomials import RATIONAL, Mono, XPoly, is_squarefree, mono_mul, monomials
+from .frames import pairing_step
+from .polynomials import RATIONAL, Mono, XPoly, is_squarefree, monomials
 from .resultant import delta_chain
 from .systems import BinomialSystem
 
@@ -33,14 +35,6 @@ class RewriteTable:
         return self.tails[w]
 
 
-def _pairing_index(w: Mono, order: tuple[int, ...]) -> int:
-    """Smallest order-index j with exponent(w, x_j) >= 2 (the frame pairing)."""
-    for j in order:
-        if w[j - 1] >= 2:
-            return j
-    raise ValueError(f"{w} is square-free")
-
-
 def _resolve_all(system: BinomialSystem, lam: int) -> dict[Mono, tuple[Fraction, "Mono | None"]]:
     """Map every degree-lam monomial to (coefficient, square-free target).
 
@@ -48,15 +42,15 @@ def _resolve_all(system: BinomialSystem, lam: int) -> dict[Mono, tuple[Fraction,
     """
     n = system.n
     order = system.order
+    cofactors = system.pattern()
     memo: dict[Mono, tuple[Fraction, Mono | None]] = {}
 
     def step(w: Mono) -> tuple[Fraction, Mono]:
-        j = _pairing_index(w, order)
+        j, nxt = pairing_step(w, order, cofactors)
         gen = system.generator(j)
         if gen.a == 0:
             raise SingularCoeffMatrixError(lam)
-        m = tuple(e - (2 if t == j - 1 else 0) for t, e in enumerate(w))
-        return -gen.b / gen.a, mono_mul(m, gen.cofactor_mono(n))
+        return -gen.b / gen.a, nxt
 
     for start in monomials(n, lam):
         if start in memo:

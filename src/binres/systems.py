@@ -157,7 +157,7 @@ def make_system(n, cofactors, values=None, order=None, alias="b") -> BinomialSys
         if values is not None:
             a, b = Fraction(values[i - 1][0]), Fraction(values[i - 1][1])
         gens.append(Generator(i, (j, k), a, b))
-    order = check_order(n, order or identity_order(n))
+    order = check_order(n, identity_order(n) if order is None else order)
     if alias not in ("b", "p"):
         raise ValidationError("alias must be 'b' or 'p'")
     return BinomialSystem(n, tuple(gens), order, alias)

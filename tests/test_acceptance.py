@@ -23,7 +23,7 @@ from binres.inverse_system import (
 )
 from binres.oracle import ModularContext, det_mod, membership_batch, quotient_dim
 from binres.polynomials import RATIONAL, XPoly, is_squarefree, monomials
-from binres.resultant import delta_chain, divides, radical, resultant, resultant_eval
+from binres.resultant import delta, delta_chain, divides, radical, resultant, resultant_eval
 from binres.rewrite import hilbert_function, rewrite_table
 from binres.systems import BinomialSystem, cyclic_system, make_system
 
@@ -153,6 +153,8 @@ def test_acceptance_5_engine_soundness():
                 for lam in range(2, n + 2):
                     matrix = build_c(system, lam, order)
                     fp = factor_determinant(matrix)
+                    # the walk on the hot path must equal the matrix engine
+                    assert delta(system, lam, order) == fp
                     matrices += 1
                     for k in range(20):
                         ctx = ModularContext.random(

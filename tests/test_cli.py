@@ -144,14 +144,31 @@ _VALUED = [dict(f, a="1", b="2") for f in _FORMS]
     {"schema": 1, "n": 2, "forms": [dict(_VALUED[0], a=None), _VALUED[1]]},
     {"schema": 1, "quadratic_space": ["x1^2", "x2^2"]},
     {"schema": 1, "n": -1, "quadratic_space": ["x1^2", "x2^2"]},
+    {"schema": 1, "n": 2, "forms": _FORMS, "order": 5},
+    {"schema": 1, "n": 2, "forms": _FORMS, "order": [1, "a"]},
+    {"schema": 1, "n": 2, "forms": _FORMS, "order": [1.0, 2.0]},
+    {"schema": 1, "n": 2, "forms": _FORMS, "order": [True, 2]},
+    {"schema": 1, "n": 2, "forms": _FORMS, "order": []},
 ], ids=["no-n", "no-forms", "no-square", "no-cofactor", "n-zero", "n-string", "n-float",
         "n-bool", "a-not-rational", "b-zero-denominator", "a-null", "space-no-n",
-        "space-negative-n"])
+        "space-negative-n", "order-int", "order-mixed", "order-float", "order-bool",
+        "order-empty"])
 def test_malformed_json_exits_one(tmp_path, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli("resultant", str(bad))
     assert code == 1
+    assert err.startswith("binres: error:")
+
+
+@pytest.mark.parametrize("command, order", [
+    ("delta", "x"), ("delta", "1,x"), ("delta", "1,1"), ("delta", "9"), ("matrix", "2,x"),
+])
+def test_bad_order_flag_exits_one(command, order):
+    code, out, err = run_cli(command, "--lambda", "3", "--order", order,
+                             str(SYSTEMS / "cyclic23.json"))
+    assert code == 1
+    assert out == ""
     assert err.startswith("binres: error:")
 
 
