@@ -53,12 +53,6 @@ class CoeffMatrix:
     def mode(self) -> str:
         return self.system.mode
 
-    def rows_as_dicts(self) -> list[dict[int, MatrixEntry]]:
-        rows: list[dict[int, MatrixEntry]] = [dict() for _ in range(self.nrows)]
-        for e in self.entries:
-            rows[e.row][e.col] = e
-        return rows
-
     def row_labels(self) -> list[str]:
         from .polynomials import mono_str
 

@@ -289,7 +289,9 @@ def _squarefree_basis(n: int, k: int) -> list[Mono]:
 
 
 def hessian(form: DualForm, k: int) -> HessianMatrix:
-    """k-th Hessian over the square-free degree-k monomial basis (k <= 2)."""
+    """k-th Hessian over the square-free degree-k monomial basis (0 <= k <= 2)."""
+    if k < 0:
+        raise ValidationError(f"the Hessian order k must be >= 0, got {k}")
     if 2 * k > form.degree:
         raise DegreeRangeError(f"2k = {2 * k} exceeds the form degree {form.degree}")
     if k > 2:

@@ -3,10 +3,20 @@ dimensions, membership, quotient dimension, and the classical n=2 Sylvester
 resultant.  Everything here deliberately avoids the circuit-factorization
 machinery it is used to verify.
 
-Determinants run over a fixed 62-bit prime with sparse elimination in pure
-Python.  Rank computations clear denominators and run vectorized Gaussian
-elimination mod two 30-bit primes (escalating to more primes, then to exact
-rational elimination, if they ever disagree).
+Determinants run over a fixed 62-bit prime with general sparse elimination in
+pure Python.  The residue of an entry is computed once per distinct
+(kind, index, sign, value), and the inverse of a pivot once per distinct
+pivot value, since most pivots of C(lambda) repeat a raw a_j.
+
+Rank computations clear denominators and run vectorized Gaussian elimination
+mod two 30-bit primes (escalating to more primes, then to exact rational
+elimination, if they ever disagree; every escalation logs a WARNING).  A
+graded span keeps its nonzero positions once, and each of its rows holds only
+the scaled a_i and b_i of one generator, so reducing it mod p reduces those
+2n integers exactly, whatever their size, and scatters the residues into an
+int64 array.  Membership reduces the stacked vectors of all polynomials at
+once: each pivot updates, in one numpy step, every vector that is nonzero in
+its column.
 """
 from __future__ import annotations
 
@@ -87,11 +97,25 @@ def det_mod(matrix, ctx: ModularContext) -> int:
     size = matrix.nrows
     if size == 0:
         return 1 % p
+    # an entry's residue depends only on (kind, index, sign, value), and most
+    # pivots repeat a raw a_j, so both are computed once per distinct value
+    residues: dict[tuple, int] = {}
+    inverses: dict[int, int] = {}
     rows: list[dict[int, int]] = [dict() for _ in range(size)]
     for e in matrix.entries:
-        v = _entry_residue(e, ctx.assignment, p)
+        key = (e.kind, e.index, e.sign, e.value)
+        v = residues.get(key)
+        if v is None:
+            v = residues[key] = _entry_residue(e, ctx.assignment, p)
         if v:
-            rows[e.row][e.col] = (rows[e.row].get(e.col, 0) + v) % p
+            row = rows[e.row]
+            s = (row.get(e.col, 0) + v) % p
+            if s:
+                row[e.col] = s
+            else:
+                del row[e.col]
+    # rows hold no zeros, so col_rows[c] is the set of rows with an entry in
+    # column c; active rows never hold an entry left of the current column
     col_rows: list[set[int]] = [set() for _ in range(size)]
     for r, row in enumerate(rows):
         for c in row:
@@ -101,31 +125,33 @@ def det_mod(matrix, ctx: ModularContext) -> int:
     pivots: dict[int, int] = {}
     active = [True] * size
     for col in range(size):
-        candidates = [r for r in col_rows[col] if active[r] and rows[r].get(col)]
-        if not candidates:
+        live = [r for r in col_rows[col] if active[r]]
+        if not live:
             return 0
-        piv = min(candidates, key=lambda r: (len(rows[r]), r))
+        piv = min(live, key=lambda r: (len(rows[r]), r)) if len(live) > 1 else live[0]
         active[piv] = False
         pivots[piv] = col
-        pval = rows[piv][col]
+        prow = rows[piv]
+        pval = prow[col]
         det = det * pval % p
-        inv = pow(pval, -1, p)
-        for r in list(col_rows[col]):
-            if not active[r]:
+        inv = inverses.get(pval)
+        if inv is None:
+            inv = inverses[pval] = pow(pval, -1, p)
+        rest = [(c, v) for c, v in prow.items() if c != col]
+        for r in live:
+            if r == piv:
                 continue
-            f = rows[r].get(col)
-            if not f:
-                col_rows[col].discard(r)
-                continue
-            f = f * inv % p
-            for c, v in rows[piv].items():
-                nv = (rows[r].get(c, 0) - f * v) % p
+            row = rows[r]
+            f = row.pop(col) * inv % p
+            for c, v in rest:
+                # f * v is a unit mod p, so a zero result means c was present
+                nv = (row.get(c, 0) - f * v) % p
                 if nv:
-                    if c not in rows[r]:
+                    if c not in row:
                         col_rows[c].add(r)
-                    rows[r][c] = nv
-                elif c in rows[r]:
-                    del rows[r][c]
+                    row[c] = nv
+                else:
+                    del row[c]
                     col_rows[c].discard(r)
     return det * _matching_parity(pivots) % p
 
@@ -134,38 +160,73 @@ def det_mod(matrix, ctx: ModularContext) -> int:
 # graded spans and ranks
 # --------------------------------------------------------------------------
 
-def span_rows(system: BinomialSystem, lam: int) -> tuple[list[list[int]], list]:
-    """Integer coefficient rows of {m * f_i : deg m = lam - 2} over R_lam."""
+@dataclass(frozen=True)
+class _IntMatrix:
+    """An exact integer matrix kept as its nonzero entries: values[k] sits at
+    (rows[k], cols[k]).  Reducing it mod p reduces each entry exactly,
+    whatever its size, and scatters the residues into an int64 array."""
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: list[int]
+
+    @classmethod
+    def build(cls, shape: tuple[int, int], entries: list[tuple[int, int, int]]) -> "_IntMatrix":
+        """The matrix of the given (row, col, value) entries."""
+        rows, cols, values = zip(*entries) if entries else ((), (), ())
+        return cls(shape, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                   list(values))
+
+    def mod(self, p: int) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        np.add.at(out, (self.rows, self.cols),
+                  np.array([v % p for v in self.values], dtype=np.int64))
+        return out
+
+    def dense(self) -> list[list[int]]:
+        out = [[0] * self.shape[1] for _ in range(self.shape[0])]
+        for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.values):
+            out[r][c] += v
+        return out
+
+    def fractions(self) -> list[list[Fraction]]:
+        return [[Fraction(v) for v in row] for row in self.dense()]
+
+
+def _span(system: BinomialSystem, lam: int) -> tuple[_IntMatrix, list]:
+    """{m * f_i : deg m = lam - 2} over the basis of R_lam, rows in (i, m)
+    order.  A row holds only the scaled a_i and b_i of its generator."""
     if system.mode != RATIONAL:
         raise ValidationError("oracle spans need a specialized system")
     n = system.n
     basis = monomials(n, lam)
+    lower = monomials(n, lam - 2) if lam >= 2 else []
     index = {m: k for k, m in enumerate(basis)}
-    out = []
-    if lam < 2:
-        return out, basis
+    entries: list[tuple[int, int, int]] = []
     for i in range(1, n + 1):
         gen = system.generator(i)
         scale = lcm(gen.a.denominator, gen.b.denominator)
-        a_int = int(gen.a * scale)
-        b_int = int(gen.b * scale)
         sq = tuple(2 if t == i - 1 else 0 for t in range(n))
-        cof = gen.cofactor_mono(n)
-        for m in monomials(n, lam - 2):
-            row = [0] * len(basis)
-            if a_int:
-                row[index[mono_mul(m, sq)]] += a_int
-            if b_int:
-                row[index[mono_mul(m, cof)]] += b_int
-            out.append(row)
-    return out, basis
+        first = (i - 1) * len(lower)
+        for value, mono in ((int(gen.a * scale), sq), (int(gen.b * scale), gen.cofactor_mono(n))):
+            if value:
+                entries.extend((first + t, index[mono_mul(m, mono)], value)
+                               for t, m in enumerate(lower))
+    return _IntMatrix.build((n * len(lower), len(basis)), entries), basis
+
+
+def span_rows(system: BinomialSystem, lam: int) -> tuple[list[list[int]], list]:
+    """Integer coefficient rows of {m * f_i : deg m = lam - 2} over R_lam."""
+    matrix, basis = _span(system, lam)
+    return matrix.dense(), basis
 
 
 def _row_reduce_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Row echelon form of mat mod p with unit pivots, and its (row, col) pivots.
 
     The rank is the number of pivots; a vector lies in the row span iff
-    reducing it against the pivots in order leaves zero.
+    reducing it against the pivots in order leaves zero.  Rows from r on are
+    zero left of column c, so each step touches columns c onwards only.
     """
     a = np.mod(mat, p).astype(np.int64)
     nrows, ncols = a.shape
@@ -174,41 +235,44 @@ def _row_reduce_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int
         r = len(pivots)
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        rest = np.nonzero(a[r + 1:, c])[0]
+            a[[r, piv], c:] = a[[piv, r], c:]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        rest = a[r + 1:, c].nonzero()[0]
         if rest.size:
             rows = rest + r + 1
-            a[rows] = (a[rows] - a[rows, c][:, None] * a[r][None, :]) % p
+            a[rows, c:] = (a[rows, c:] - a[rows, c][:, None] * a[r, c:][None, :]) % p
         pivots.append((r, c))
     return a, pivots
+
+
+def _rank(matrix: _IntMatrix) -> int:
+    """Rank over Q via multi-prime modular elimination."""
+    r0 = len(_row_reduce_mod(matrix.mod(RANK_PRIMES[0]), RANK_PRIMES[0])[1])
+    for p in RANK_PRIMES[1:]:
+        r1 = len(_row_reduce_mod(matrix.mod(p), p)[1])
+        if r1 == r0:
+            return r0
+        logger.warning("modular rank disagreement (%d vs %d), escalating", r0, r1)
+        r0 = max(r0, r1)
+    return frac_rank(matrix.fractions())
 
 
 def int_rank(rows: list[list[int]]) -> int:
     """Rank over Q of an integer matrix via multi-prime modular elimination."""
     if not rows:
         return 0
-    reduced = np.array([[v % RANK_PRIMES[0] for v in row] for row in rows], dtype=np.int64)
-    r0 = len(_row_reduce_mod(reduced, RANK_PRIMES[0])[1])
-    for p in RANK_PRIMES[1:]:
-        reduced = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-        r1 = len(_row_reduce_mod(reduced, p)[1])
-        if r1 == r0:
-            return r0
-        logger.warning("modular rank disagreement (%d vs %d), escalating", r0, r1)
-        r0 = max(r0, r1)
-    return frac_rank([[Fraction(v) for v in row] for row in rows])
+    return _rank(_IntMatrix.build((len(rows), len(rows[0])), [
+        (r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]))
 
 
 def ideal_dim(system: BinomialSystem, lam: int) -> int:
     """dim of the degree-lam piece of the ideal, by row rank of its span."""
-    rows, _ = span_rows(system, lam)
-    return int_rank(rows)
+    return _rank(_span(system, lam)[0])
 
 
 def quotient_dim(system: BinomialSystem) -> "int | None":
@@ -224,50 +288,49 @@ def quotient_dim(system: BinomialSystem) -> "int | None":
     return sum(dims)
 
 
-def _poly_vector(f: XPoly, basis_index: dict, scale_to_int: bool = True) -> list[int]:
-    coeffs = [Fraction(0)] * len(basis_index)
-    for m, c in f.terms.items():
-        coeffs[basis_index[m]] += Fraction(c)
-    denom = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    return [int(c * denom) for c in coeffs]
+def _poly_vector(f: XPoly, basis_index: dict) -> dict[int, int]:
+    """f's nonzero coefficients, cleared of denominators, by basis column."""
+    coeffs = {basis_index[m]: Fraction(c) for m, c in f.terms.items()}
+    denom = lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (denom // c.denominator) for k, c in coeffs.items()}
 
 
 def membership_batch(system: BinomialSystem, lam: int, polys: list[XPoly]) -> list[bool]:
     """Whether each homogeneous degree-lam polynomial lies in I_lam."""
-    rows, basis = span_rows(system, lam)
+    span, basis = _span(system, lam)
     index = {m: k for k, m in enumerate(basis)}
     vectors = []
     for f in polys:
         if f.mode != RATIONAL or (not f.is_zero() and (not f.is_homogeneous() or f.degree() != lam)):
             raise ValidationError(f"membership needs homogeneous degree-{lam} rational input")
         vectors.append(_poly_vector(f, index))
+    stacked = _IntMatrix.build((len(vectors), len(basis)), [
+        (r, c, v) for r, vec in enumerate(vectors) for c, v in vec.items()])
 
     def reduce_all(p: int) -> list[bool]:
-        mat = np.array([[v % p for v in row] for row in rows], dtype=np.int64) \
-            if rows else np.zeros((0, len(basis)), dtype=np.int64)
-        a, pivots = _row_reduce_mod(mat, p)
-        out = []
-        for vec in vectors:
-            v = np.array([x % p for x in vec], dtype=np.int64)
-            for (pr, pc) in pivots:
-                if v[pc]:
-                    v = (v - v[pc] * a[pr]) % p
-            out.append(not v.any())
-        return out
+        # the vectors reduce independently, so each pivot updates every
+        # vector that is nonzero in its column at once
+        a, pivots = _row_reduce_mod(span.mod(p), p)
+        v = stacked.mod(p)
+        for pr, pc in pivots:
+            hit = v[:, pc].nonzero()[0]
+            if hit.size:
+                v[hit, pc:] = (v[hit, pc:] - v[hit, pc][:, None] * a[pr, pc:][None, :]) % p
+        return (~v.any(axis=1)).tolist()
 
     first = reduce_all(RANK_PRIMES[0])
     second = reduce_all(RANK_PRIMES[1])
     if first == second:
         return first
     logger.warning("membership disagreement between primes; exact fallback")
-    frows = [[Fraction(v) for v in row] for row in rows]
+    frows = span.fractions()
     base_rank = frac_rank(frows)
     out = []
-    for vec, f1, s1 in zip(vectors, first, second):
+    for vec, f1, s1 in zip(stacked.fractions(), first, second):
         if f1 == s1:
             out.append(f1)
         else:
-            out.append(frac_rank(frows + [[Fraction(v) for v in vec]]) == base_rank)
+            out.append(frac_rank(frows + [vec]) == base_rank)
     return out
 
 
@@ -342,6 +405,8 @@ def _random_system(n: int, rng: random.Random) -> BinomialSystem:
 
 def run_selftest(seed: int = 0, n_max: int = 5) -> list[SelfTestRow]:
     """Cross-check the factorization engine against the oracles."""
+    if n_max < 2:
+        raise ValidationError(f"selftest needs n_max >= 2, got {n_max}")
     from .det_factor import factor_determinant
     from .frames import cyclic_orders
     from .resultant import delta, delta_chain, divides, radical, resultant

@@ -260,6 +260,22 @@ def test_selftest_small():
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("n_max", ["1", "-3"])
+def test_selftest_rejects_small_n_max(n_max):
+    code, out, err = run_cli("selftest", "--n-max", n_max)
+    assert code == 1
+    assert "checks passed" not in out
+    assert "n_max >= 2" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--point", "1,2,3,1,1"]])
+def test_hessian_rejects_negative_k(extra):
+    code, out, err = run_cli("hessian", "--which", "G", "--p", "1,1,1,1,1", "--k", "-1", *extra)
+    assert code == 1
+    assert out == ""
+    assert "k must be >= 0" in err
+
+
 def test_internal_check_failure_exits_two(monkeypatch):
     from binres import cli
     from binres.errors import InternalCheckError

@@ -167,6 +167,14 @@ def test_hessian_rejects_bad_order():
         hessian(builtin_dual("F", ONES), 3)
 
 
+def test_hessian_rejects_negative_order():
+    form = builtin_dual("G", ONES)
+    with pytest.raises(ValidationError):
+        hessian(form, -1)
+    with pytest.raises(ValidationError):
+        hess_det_eval(form, -1, [1, 2, 3, 1, 1])
+
+
 def test_hess2_g_vanishes_on_locus(rng):
     p = rand_p(rng, on_locus=True)
     form = builtin_dual("G", p)

@@ -1,24 +1,34 @@
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
+from binres import oracle
 from binres.coeff_matrix import build_c
 from binres.det_factor import SparseMatrix
 from binres.errors import ValidationError
+from binres.frames import cyclic_orders
+from binres.linalg import frac_det, frac_rank
 from binres.oracle import (
     DEFAULT_PRIME,
+    RANK_PRIMES,
     ModularContext,
     det_mod,
     ideal_dim,
+    int_rank,
     membership,
+    membership_batch,
     quotient_dim,
     run_selftest,
+    span_rows,
     sylvester_resultant_2,
 )
-from binres.polynomials import RATIONAL, ParamPoly, XPoly
+from binres.polynomials import RATIONAL, ParamPoly, XPoly, monomials
 from binres.resultant import resultant_eval
 from binres.systems import cyclic_system, make_system
 
@@ -146,3 +156,159 @@ def test_quotient_dim_equivalence_with_resultant(rng):
 def test_selftest_green():
     rows = run_selftest(seed=13, n_max=4)
     assert rows and all(r.passed for r in rows)
+
+
+# -- the oracle's own paths against exact rational arithmetic ---------------
+
+def _complete_intersection(n: int, rng):
+    system = random_specialization(random_system(n, rng), rng)
+    while resultant_eval(system) == 0:
+        system = random_specialization(random_system(n, rng), rng)
+    return system
+
+
+def _member(system, lam: int, rng) -> XPoly:
+    """A random combination of the span generators m * f_i, deg m = lam - 2."""
+    n = system.n
+    total = XPoly.zero(n)
+    for m in rng.sample(monomials(n, lam - 2), min(3, comb(n + lam - 3, lam - 2))):
+        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        total = total + XPoly.monomial(n, m, coeff) * system.form(rng.randint(1, n))
+    return total
+
+
+def _squarefree(n: int, lam: int, rng) -> XPoly:
+    """x_S for a random |S| = lam; never in I_lam of a complete intersection."""
+    support = rng.choice(list(combinations(range(n), lam)))
+    return XPoly(n, RATIONAL, {tuple(int(t in support) for t in range(n)): Fraction(1)})
+
+
+def _dense(f: XPoly, basis) -> list[Fraction]:
+    return [Fraction(f.coefficient(m)) for m in basis]
+
+
+def test_membership_batch_equals_single_calls(rng):
+    for n in (3, 4):
+        system = _complete_intersection(n, rng)
+        for lam in range(2, n + 2):
+            polys = [XPoly.zero(n)]
+            for _ in range(3):
+                polys.append(_member(system, lam, rng))
+            if lam <= n:
+                for _ in range(3):
+                    polys.append(_squarefree(n, lam, rng))
+                polys.append(_member(system, lam, rng) + _squarefree(n, lam, rng))
+            batch = membership_batch(system, lam, polys)
+            assert batch == [membership_batch(system, lam, [f])[0] for f in polys]
+            assert batch[:4] == [True] * 4
+            assert not any(batch[4:])
+            assert membership_batch(system, lam, []) == []
+
+
+def test_oracle_exact_for_parameters_beyond_int64():
+    big = 2 ** 64 + 1
+    family = cyclic_system(5, (2, 3))
+    generic = family.specialize(
+        {f"a{i}": Fraction(big + 7 * i, i) for i in range(1, 6)}
+        | {f"b{i}": Fraction(-big - 3 * i, 2) for i in range(1, 6)})
+    # a multiple of the degenerate a = 1, b = (1, 1, 1, 1, -1) point
+    degenerate = family.specialize(
+        {f"a{i}": big for i in range(1, 6)}
+        | {"b1": big, "b2": big, "b3": big, "b4": big, "b5": -big})
+    deficit = 0
+    for spec in (generic, degenerate):
+        assert max(abs(g.a) for g in spec.generators) > 2 ** 62
+        for lam in (2, 3, 4):
+            rows, basis = span_rows(spec, lam)
+            frows = [[Fraction(v) for v in row] for row in rows]
+            want = frac_rank(frows)
+            assert int_rank(rows) == want
+            assert ideal_dim(spec, lam) == want
+            deficit += comb(4 + lam, lam) - comb(5, lam) - want
+            probes = [spec.form(1) * XPoly.monomial(5, m, big) for m in monomials(5, lam - 2)[:2]]
+            probes += [XPoly(5, RATIONAL, {m: Fraction(1)}) for m in basis[-3:]]
+            assert membership_batch(spec, lam, probes) == [
+                frac_rank(frows + [_dense(f, basis)]) == want for f in probes]
+    assert deficit > 0
+
+
+def _lying_reduction(monkeypatch, lie):
+    real = oracle._row_reduce_mod
+
+    def reduce(mat, p):
+        a, pivots = real(mat, p)
+        return lie(a, pivots, p)
+
+    monkeypatch.setattr(oracle, "_row_reduce_mod", reduce)
+
+
+def test_int_rank_escalates_to_exact_rank(rng, monkeypatch, caplog):
+    system = _complete_intersection(3, rng)
+    rows, _ = span_rows(system, 3)
+    want = frac_rank([[Fraction(v) for v in row] for row in rows])
+    assert int_rank(rows) == want
+    # every prime reports a different, too large rank
+    _lying_reduction(monkeypatch, lambda a, pivots, p:
+                     (a, pivots + [(0, 0)] * (1 + RANK_PRIMES.index(p))))
+    with caplog.at_level(logging.WARNING, logger="binres.oracle"):
+        assert int_rank(rows) == want
+        assert ideal_dim(system, 3) == want
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 2 * (len(RANK_PRIMES) - 1)
+    assert all("escalating" in r.getMessage() for r in warnings)
+
+
+def test_membership_escalates_to_exact_answer(rng, monkeypatch, caplog):
+    system = _complete_intersection(3, rng)
+    polys = [XPoly.zero(3), _member(system, 3, rng), _member(system, 3, rng),
+             _squarefree(3, 3, rng), _member(system, 3, rng) + _squarefree(3, 3, rng)]
+    want = membership_batch(system, 3, polys)
+    assert want == [True, True, True, False, False]
+
+    # the first prime finds no pivots, the second claims every column: each
+    # nonzero vector gets two different wrong-or-right answers
+    def lie(a, pivots, p):
+        if p == RANK_PRIMES[0]:
+            return a, []
+        return np.eye(a.shape[1], dtype=np.int64), [(c, c) for c in range(a.shape[1])]
+
+    _lying_reduction(monkeypatch, lie)
+    with caplog.at_level(logging.WARNING, logger="binres.oracle"):
+        assert membership_batch(system, 3, polys) == want
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        "membership disagreement between primes; exact fallback"]
+
+
+def _det_under(matrix, assignment: dict, p: int) -> int:
+    """frac_det of the matrix with its parameters replaced, reduced mod p."""
+    rows = [[Fraction(0)] * matrix.ncols for _ in range(matrix.nrows)]
+    for e in matrix.entries:
+        v = e.value if e.value is not None else e.sign * assignment[f"{e.kind}{e.index}"]
+        rows[e.row][e.col] += v
+    d = frac_det(rows)
+    return d.numerator * pow(d.denominator, -1, p) % p
+
+
+def test_det_mod_equals_frac_det(rng):
+    for n in (2, 3, 4):
+        system = random_system(n, rng)
+        # all a_i equal: every diagonal pivot repeats one value
+        repeated = {f"a{i}": 3 for i in range(1, n + 1)} | {f"b{i}": i for i in range(1, n + 1)}
+        for order in cyclic_orders(n)[:2]:
+            for lam in range(2, n + 2):
+                matrix = build_c(system, lam, order)
+                contexts = [ctx_with(repeated)]
+                contexts += [ModularContext.random(n, rng.randrange(1 << 30), allow_zero=True)
+                             for _ in range(2)]
+                # a small prime makes zero and repeated residues common
+                contexts += [ModularContext.random(n, rng.randrange(1 << 30), prime=7,
+                                                   allow_zero=True) for _ in range(3)]
+                for ctx in contexts:
+                    assert det_mod(matrix, ctx) == _det_under(matrix, ctx.assignment, ctx.prime)
+                spec = system.specialize(
+                    {f"a{i}": Fraction(1) for i in range(1, n + 1)}
+                    | {f"b{i}": Fraction(rng.choice([0, 1, -1, 2]), rng.randint(1, 2))
+                       for i in range(1, n + 1)})
+                smatrix = build_c(spec, lam, order)
+                ctx = ctx_with(repeated)
+                assert det_mod(smatrix, ctx) == _det_under(smatrix, {}, ctx.prime)
