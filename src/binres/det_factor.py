@@ -1,19 +1,6 @@
 """Determinant factorization for matrices with at most two entries per row.
 
-Delta_lambda = det C(lambda) is computed without building C (`factor_by_walk`).
-Row (m, j) of C(lambda) holds a_j in its paired column w = m*x_j^2 (the
-diagonal) and b_j in the column w/x_j^2 * m_j, dropped when that is
-square-free.  So the b-entries form a functional graph on the non-square-free
-monomials w, with the successor map `frames.pairing_step`, and a permutation
-in the expansion of det C picks b-entries exactly on a union of the graph's
-cycles.  Hence a node off every cycle contributes its a_j, and a cycle of
-length r contributes prod a + (-1)^(r-1) prod b (the sign of an r-cycle).
-One coloured pass over the nodes finds the cycles.
-
-The general engine (`factor_determinant`) factors any matrix with at most two
-entries per row; on C(lambda) it is the cross-check of the walk, together with
-the modular oracle `det_mod`.  The determinant of such a matrix splits
-combinatorially:
+The determinant of such a matrix splits combinatorially:
 
   1. every column or row with a single nonzero entry forces that entry into
      each perfect matching — peel it into the monomial part (tracking the
@@ -23,6 +10,10 @@ combinatorially:
   3. each cycle admits exactly two matchings, contributing one binomial
      factor;
   4. a row or column running out of entries first means the determinant is 0.
+
+`resultant.delta` computes Delta_lambda = det C(lambda) from the successor map
+without building C (see `frames`); `factor_determinant` on a built C(lambda)
+is its cross-check, together with the modular oracle `det_mod`.
 
 Signs: the reference matching (forced entries plus the first matching of
 every cycle) is a permutation of the frame order, and its parity is computed
@@ -37,20 +28,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Mapping
 
 from .coeff_matrix import CoeffMatrix, MatrixEntry
-from .errors import (
-    InternalCheckError,
-    ModeMismatchError,
-    NonSquareMatrixError,
-    RowOccupancyError,
-    ValidationError,
-)
-from .frames import check_order, pairing_step
-from .polynomials import SYMBOLIC, Mono, ParamPoly, monomials
-from .systems import BinomialSystem
+from .errors import ModeMismatchError, NonSquareMatrixError, RowOccupancyError, ValidationError
+from .polynomials import Mono, ParamPoly, mono_str, param_names
 
 logger = logging.getLogger(__name__)
 
@@ -81,33 +63,6 @@ class SparseMatrix:
 # factored polynomials
 # --------------------------------------------------------------------------
 
-def _pm_str(m: Mono, n: int, alias: str = "b") -> str:
-    parts = []
-    for i, e in enumerate(m):
-        if not e:
-            continue
-        name = f"a{i + 1}" if i < n else f"{alias}{i - n + 1}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def _pm_to_parampoly(m: Mono, n: int) -> ParamPoly:
-    return ParamPoly(n, {m: 1})
-
-
-def _pm_specialize(m: Mono, n: int, assignment) -> Fraction:
-    return ParamPoly(n, {m: 1}).specialize(assignment)
-
-
-def _pm_eval_mod(m: Mono, n: int, avals, bvals, p: int) -> int:
-    v = 1
-    for pos, e in enumerate(m):
-        if e:
-            base = avals[pos] if pos < n else bvals[pos - n]
-            v = v * pow(base, e, p) % p
-    return v
-
-
 @dataclass(frozen=True)
 class BinomialFactor:
     """Circuit factor a_part + sign * b_part over parameter monomials.
@@ -128,9 +83,12 @@ class BinomialFactor:
         # two ParamPolys: a_part == b_part must add up, not overwrite
         return ParamPoly(self.n, {self.a_part: 1}) + ParamPoly(self.n, {self.b_part: self.sign})
 
-    def __str__(self) -> str:
+    def to_text(self, alias: str = "b") -> str:
+        names = param_names(self.n, alias)
         op = "+" if self.sign > 0 else "-"
-        return f"({_pm_str(self.a_part, self.n)} {op} {_pm_str(self.b_part, self.n)})"
+        return f"({mono_str(self.a_part, names)} {op} {mono_str(self.b_part, names)})"
+
+    __str__ = to_text
 
 
 def _canonical_factor(n: int, m1: Mono, m2: Mono, rel: int) -> tuple[BinomialFactor, int]:
@@ -190,7 +148,7 @@ class FactoredPoly:
         """Multiply everything out (use on small factorizations only)."""
         if self.zero:
             return ParamPoly(self.n)
-        out = ParamPoly.const(self.n, self.sign) * _pm_to_parampoly(self.monomial, self.n)
+        out = ParamPoly(self.n, {self.monomial: self.sign})
         for f, mult in self.factors:
             base = f.as_parampoly()
             for _ in range(mult):
@@ -200,22 +158,17 @@ class FactoredPoly:
     def specialize(self, assignment) -> Fraction:
         if self.zero:
             return Fraction(0)
-        v = Fraction(self.sign) * _pm_specialize(self.monomial, self.n, assignment)
+        v = ParamPoly(self.n, {self.monomial: self.sign}).specialize(assignment)
         for f, mult in self.factors:
-            fv = (_pm_specialize(f.a_part, self.n, assignment)
-                  + f.sign * _pm_specialize(f.b_part, self.n, assignment))
-            v *= fv ** mult
+            v *= f.as_parampoly().specialize(assignment) ** mult
         return v
 
     def eval_mod(self, avals: list[int], bvals: list[int], p: int) -> int:
         if self.zero:
             return 0
-        v = self.sign % p
-        v = v * _pm_eval_mod(self.monomial, self.n, avals, bvals, p) % p
+        v = ParamPoly(self.n, {self.monomial: self.sign}).eval_mod(avals, bvals, p)
         for f, mult in self.factors:
-            fv = (_pm_eval_mod(f.a_part, self.n, avals, bvals, p)
-                  + f.sign * _pm_eval_mod(f.b_part, self.n, avals, bvals, p)) % p
-            v = v * pow(fv, mult, p) % p
+            v = v * pow(f.as_parampoly().eval_mod(avals, bvals, p), mult, p) % p
         return v
 
     def __eq__(self, other) -> bool:
@@ -236,10 +189,9 @@ class FactoredPoly:
             return "0"
         parts = []
         if any(self.monomial):
-            parts.append(_pm_str(self.monomial, self.n, alias))
+            parts.append(mono_str(self.monomial, param_names(self.n, alias)))
         for f, mult in self.factors:
-            op = "+" if f.sign > 0 else "-"
-            s = f"({_pm_str(f.a_part, self.n, alias)} {op} {_pm_str(f.b_part, self.n, alias)})"
+            s = f.to_text(alias)
             parts.append(s if mult == 1 else f"{s}^{mult}")
         if not parts:
             parts = ["1"]
@@ -475,62 +427,3 @@ def factor_determinant(m: "CoeffMatrix | SparseMatrix") -> FactoredPoly:
 def circuits_of(m: "CoeffMatrix | SparseMatrix") -> list[Circuit]:
     """The residual cycles of the matrix digraph, one per binomial factor."""
     return list(decompose(m).circuits)
-
-
-# --------------------------------------------------------------------------
-# the successor-map walk
-# --------------------------------------------------------------------------
-
-def factor_by_walk(system: BinomialSystem, lam: int, order=None) -> FactoredPoly:
-    """Factored det C(lambda) of a symbolic system, from the successor map.
-
-    Equal to factor_determinant(build_c(system, lam, order)); see the module
-    docstring.
-    """
-    if system.mode != SYMBOLIC:
-        raise ModeMismatchError("factor_by_walk works on symbolic systems; "
-                                "specialize the factored result instead")
-    if lam < 2:
-        raise ValidationError("coefficient matrices need lambda >= 2")
-    n = system.n
-    order = check_order(n, system.order if order is None else order)
-    cofactors = system.pattern()
-
-    walk_of: dict[Mono, int] = {}  # node -> the walk that reached it first
-    paired = [0] * n               # nodes paired with each generator, then off-cycle only
-    factors: dict[BinomialFactor, int] = {}
-    for walk, start in enumerate(monomials(n, lam)):
-        if start in walk_of or max(start) < 2:
-            continue
-        path: list[Mono] = []
-        gens: list[int] = []
-        w = start
-        while True:
-            walk_of[w] = walk
-            path.append(w)
-            j, w = pairing_step(w, order, cofactors)
-            paired[j - 1] += 1
-            gens.append(j)
-            if max(w) < 2:           # the b-entry's column is square-free: dropped
-                break
-            seen = walk_of.get(w)
-            if seen is None:
-                continue
-            if seen == walk:         # back on this walk's own path: a cycle
-                cycle = gens[path.index(w):]
-                a_part, b_part = [0] * (2 * n), [0] * (2 * n)
-                for g in cycle:
-                    a_part[g - 1] += 1
-                    b_part[n + g - 1] += 1
-                    paired[g - 1] -= 1
-                rel = -1 if len(cycle) % 2 == 0 else 1  # (-1)^(r-1)
-                # the pure-a side is the larger, so no sign is extracted
-                factor, _ = _canonical_factor(n, tuple(a_part), tuple(b_part), rel)
-                factors[factor] = factors.get(factor, 0) + 1
-            break
-
-    expected = comb(n + lam - 1, lam) - comb(n, lam)
-    if len(walk_of) != expected:
-        raise InternalCheckError(
-            f"node count {len(walk_of)} != dim R_{lam} - C({n},{lam}) = {expected}")
-    return FactoredPoly(n, 1, tuple(paired) + (0,) * n, factors)

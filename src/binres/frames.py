@@ -13,8 +13,17 @@ columns are the square-free monomials.
 
 Read backwards, the pairing sends a non-square-free w to the row (w/x_j^2, j)
 with j the first index of the order whose exponent in w is >= 2; that row's
-b_j entry sits in the column (w/x_j^2)*m_j.  `pairing_step` is this successor
-map, which both the determinant walk and the square-free rewriting follow.
+b_j entry sits in the column (w/x_j^2)*m_j, dropped from C(lambda) when it is
+square-free.  The map w -> (w/x_j^2)*m_j is a functional graph on the
+non-square-free monomials, and `successor_walks` is its one traversal.
+
+Both results of the method read that graph.  A permutation in the expansion of
+det C(lambda) picks b-entries exactly on a union of the graph's cycles, so a
+node off every cycle contributes its a_j and a cycle of length r contributes
+prod a + (-1)^(r-1) prod b (the sign of an r-cycle): `resultant.delta`.
+Modulo the ideal a node w rewrites to -(b_j/a_j) times its successor, so every
+node collapses onto the square-free monomial its walk ends in, or onto 0 when
+it feeds a cycle: `rewrite.rewrite_table`.
 """
 from __future__ import annotations
 
@@ -62,6 +71,63 @@ def pairing_step(w: Mono, order: tuple[int, ...],
             nxt[l - 1] += 1
             return j, tuple(nxt)
     raise ValueError(f"{w} is square-free")
+
+
+def node_count(n: int, lam: int) -> int:
+    """The non-square-free monomials of degree lam: the size of C(lambda)."""
+    return comb(n + lam - 1, lam) - comb(n, lam)
+
+
+def paired_count(n: int, lam: int, g: int) -> int:
+    """Nodes whose pairing index is the (g+1)-th of the order: |M_{g+1}(lam-2)|.
+
+    i of the g earlier indices carry exponent 1 and the other lam-2-i degrees
+    go to the remaining n-g variables.
+    """
+    d = lam - 2
+    return sum(comb(g, i) * comb(n - g + d - i - 1, d - i) for i in range(min(g, d) + 1))
+
+
+def _check_node_count(what: str, count: int, n: int, lam: int) -> None:
+    expected = node_count(n, lam)
+    if count != expected:
+        raise InternalCheckError(
+            f"{what} count {count} != dim R_{lam} - C({n},{lam}) = {expected}")
+
+
+def successor_walks(n: int, lam: int, order: tuple[int, ...],
+                    cofactors: tuple[tuple[int, int], ...]):
+    """One coloured pass over the successor map on degree-lam monomials.
+
+    Yields (path, gens, end, loop) per walk: path holds the nodes first
+    reached on this walk, gens[i] the pairing index of path[i], end the
+    successor of the last node (square-free, or on an earlier walk, or on
+    this one), and loop the position in path where the walk closed on
+    itself, else None.  Every non-square-free monomial lies on one path.
+    """
+    walk_of: dict[Mono, int] = {}  # node -> the walk that reached it first
+    for walk, start in enumerate(monomials(n, lam)):
+        if start in walk_of or max(start) < 2:
+            continue
+        path: list[Mono] = []
+        gens: list[int] = []
+        w = start
+        loop = None
+        while True:
+            walk_of[w] = walk
+            path.append(w)
+            j, w = pairing_step(w, order, cofactors)
+            gens.append(j)
+            if max(w) < 2:
+                break
+            seen = walk_of.get(w)
+            if seen is None:
+                continue
+            if seen == walk:
+                loop = path.index(w)
+            break
+        yield path, gens, w, loop
+    _check_node_count("node", len(walk_of), n, lam)
 
 
 @dataclass(frozen=True)
@@ -121,11 +187,7 @@ def build_row_frame(n: int, lam: int, order=None) -> RowFrame:
         for m in frame.sets[g]:
             rows.append((m, j))
     rf = RowFrame(n, lam, frame.order, tuple(rows))
-    expected = comb(n + lam - 1, lam) - comb(n, lam)
-    if rf.size != expected:
-        raise InternalCheckError(
-            f"row count {rf.size} != dim R_{lam} - C({n},{lam}) = {expected}"
-        )
+    _check_node_count("row", rf.size, n, lam)
     return rf
 
 

@@ -83,6 +83,11 @@ def param_name(kind: str, index: int) -> str:
     return f"{kind}{index}"
 
 
+def param_names(n: int, alias: str = "b") -> list[str]:
+    """Display names of the 2n parameter positions: a1..an, <alias>1..<alias>n."""
+    return [f"a{i}" for i in range(1, n + 1)] + [f"{alias}{i}" for i in range(1, n + 1)]
+
+
 def normalize_assignment(assignment: Mapping[str, object]) -> dict[str, Fraction]:
     """Copy an assignment, accepting p_i as an alias of b_i."""
     out: dict[str, Fraction] = {}
@@ -219,8 +224,7 @@ class ParamPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        n = self.n
-        names = [f"a{i + 1}" for i in range(n)] + [f"b{i + 1}" for i in range(n)]
+        names = param_names(self.n)
         parts = []
         for m in sorted(self.terms, reverse=True):
             c = self.terms[m]

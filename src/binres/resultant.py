@@ -1,8 +1,8 @@
 """Delta chains and the resultant of a binomial system.
 
-Delta_lambda is the factored determinant of C(lambda), computed by walking the
-successor map of the frame pairing (`det_factor.factor_by_walk`) without
-building the matrix.  The resultant is the GCD of the n determinants
+Delta_lambda is the factored determinant of C(lambda), read off the cycles of
+the frame pairing's successor map (`frames.successor_walks`) without building
+the matrix.  The resultant is the GCD of the n determinants
 Delta_{n+1}^sigma taken over the n cyclic index orders; on canonical
 factorizations the GCD is the atom-wise multiset intersection together with
 the entry-wise minimum on the monomial part.  The result is normalized so the
@@ -14,9 +14,9 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .det_factor import BinomialFactor, FactoredPoly, factor_by_walk
-from .errors import DegenerateSystemError, InternalCheckError, ValidationError
-from .frames import check_order, cyclic_orders
+from .det_factor import BinomialFactor, FactoredPoly
+from .errors import DegenerateSystemError, InternalCheckError, ModeMismatchError, ValidationError
+from .frames import check_order, cyclic_orders, paired_count, successor_walks
 from .polynomials import SYMBOLIC, normalize_assignment
 from .systems import BinomialSystem
 
@@ -36,14 +36,39 @@ class DeltaChain:
 
 def _require_symbolic(system: BinomialSystem) -> None:
     if system.mode != SYMBOLIC:
-        raise ValidationError("this operation needs a symbolic system; "
-                              "use resultant_eval for specialized ones")
+        raise ModeMismatchError("this operation needs a symbolic system; "
+                                "use resultant_eval for specialized ones")
 
 
 def delta(system: BinomialSystem, lam: int, order=None) -> FactoredPoly:
-    """Factored Delta_lambda = det C(lambda) for one index order."""
+    """Factored Delta_lambda = det C(lambda) for one index order.
+
+    Every node of the successor map off a cycle contributes its a_j, every
+    cycle of length r the factor prod a + (-1)^(r-1) prod b (see `frames`).
+    Equal to factor_determinant(build_c(system, lam, order)).
+    """
     _require_symbolic(system)
-    return factor_by_walk(system, lam, order)
+    if lam < 2:
+        raise ValidationError("coefficient matrices need lambda >= 2")
+    n = system.n
+    order = check_order(n, system.order if order is None else order)
+    paired = [0] * n  # nodes paired with each generator, then off-cycle only
+    for g, j in enumerate(order):
+        paired[j - 1] = paired_count(n, lam, g)
+    factors: dict[BinomialFactor, int] = {}
+    for _, gens, _, loop in successor_walks(n, lam, order, system.pattern()):
+        if loop is None:
+            continue
+        a_part, b_part = [0] * (2 * n), [0] * (2 * n)
+        for j in gens[loop:]:
+            a_part[j - 1] += 1
+            b_part[n + j - 1] += 1
+            paired[j - 1] -= 1
+        # the pure-a side is the larger, so it leads the canonical factor
+        rel = -1 if (len(gens) - loop) % 2 == 0 else 1  # (-1)^(r-1)
+        factor = BinomialFactor(n, tuple(a_part), tuple(b_part), rel)
+        factors[factor] = factors.get(factor, 0) + 1
+    return FactoredPoly(n, 1, tuple(paired) + (0,) * n, factors)
 
 
 def delta_chain(system: BinomialSystem, order=None) -> DeltaChain:

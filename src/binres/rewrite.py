@@ -1,24 +1,23 @@
 """Square-free basis rewriting for specialized complete intersections.
 
 Every generator row reads a_j*(m*x_j^2) + b_j*(m*m_j), so modulo the ideal a
-non-square-free monomial w = m*x_j^2 rewrites to -(b_j/a_j) * (m*m_j), with j
-and m*m_j given by `frames.pairing_step`: the rewrite graph is functional (one
-successor per monomial).  Following it, every monomial of degree 2..n+1
-collapses to a rational multiple of a single square-free monomial, or to 0
-when it feeds a cycle whose loop product is not 1.  A loop product of exactly
-1 (or a vanishing a_j) is precisely a singular C(lambda); that raises
-SingularCoeffMatrixError.
+non-square-free monomial w = m*x_j^2 rewrites to -(b_j/a_j) * (m*m_j), its
+successor in the functional graph that `frames.successor_walks` traverses.
+Following it, every monomial of degree 2..n+1 collapses to a rational
+multiple of a single square-free monomial, or to 0 when it feeds a cycle whose
+loop product is not 1.  A loop product of exactly 1 is precisely a singular
+C(lambda); that, and a vanishing a_j, raise SingularCoeffMatrixError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .errors import DegreeRangeError, SingularCoeffMatrixError, ValidationError
-from .frames import pairing_step
-from .polynomials import RATIONAL, Mono, XPoly, is_squarefree, monomials
+from .frames import successor_walks
+from .polynomials import RATIONAL, Mono, XPoly, is_squarefree
 from .resultant import delta_chain
 from .systems import BinomialSystem
 
@@ -36,64 +35,30 @@ class RewriteTable:
 
 
 def _resolve_all(system: BinomialSystem, lam: int) -> dict[Mono, tuple[Fraction, "Mono | None"]]:
-    """Map every degree-lam monomial to (coefficient, square-free target).
+    """Map every non-square-free degree-lam monomial to (coefficient, target).
 
-    target None means the monomial is congruent to 0.
+    The target is a square-free monomial, or None when the monomial is
+    congruent to 0.  Each walk of the successor map is folded backwards from
+    its end.
     """
-    n = system.n
-    order = system.order
-    cofactors = system.pattern()
-    memo: dict[Mono, tuple[Fraction, Mono | None]] = {}
-
-    def step(w: Mono) -> tuple[Fraction, Mono]:
-        j, nxt = pairing_step(w, order, cofactors)
-        gen = system.generator(j)
-        if gen.a == 0:
+    coeff = {}
+    for g in system.generators:
+        if g.a == 0:
             raise SingularCoeffMatrixError(lam)
-        return -gen.b / gen.a, nxt
-
-    for start in monomials(n, lam):
-        if start in memo:
-            continue
-        path: list[tuple[Mono, Fraction]] = []
-        on_path: dict[Mono, int] = {}
-        cur = start
-        while True:
-            if cur in memo:
-                base = memo[cur]
-                break
-            if is_squarefree(cur):
-                base = (Fraction(1), cur)
-                memo[cur] = base
-                break
-            if cur in on_path:
-                loop = path[on_path[cur]:]
-                gamma = Fraction(1)
-                for _, c in loop:
-                    gamma *= c
-                if gamma == 1:
-                    raise SingularCoeffMatrixError(lam)
-                for node, _ in loop:
-                    memo[node] = (Fraction(0), None)
-                path = path[: on_path[cur]]
-                base = (Fraction(0), None)
-                break
-            coeff, nxt = step(cur)
-            if coeff == 0:
-                base = (Fraction(0), None)
-                memo[cur] = base
-                break
-            on_path[cur] = len(path)
-            path.append((cur, coeff))
-            cur = nxt
-        acc, target = base
-        if target is None or acc == 0:
-            for node, _ in reversed(path):
-                memo[node] = (Fraction(0), None)
+        coeff[g.square] = -g.b / g.a
+    zero = (Fraction(0), None)
+    memo: dict[Mono, tuple[Fraction, Mono | None]] = {}
+    for path, gens, end, loop in successor_walks(system.n, lam, system.order, system.pattern()):
+        if loop is None:
+            # a square-free end is its own target; any other is on an earlier walk
+            acc, target = memo.get(end, (Fraction(1), end))
         else:
-            for node, c in reversed(path):
-                acc = c * acc
-                memo[node] = (acc, target)
+            if prod(coeff[j] for j in gens[loop:]) == 1:
+                raise SingularCoeffMatrixError(lam)
+            acc, target = zero
+        for node, j in zip(reversed(path), reversed(gens)):
+            acc *= coeff[j]
+            memo[node] = (acc, target) if acc else zero
     return memo
 
 
@@ -103,13 +68,9 @@ def rewrite_table(system: BinomialSystem, lam: int) -> RewriteTable:
         raise ValidationError("rewrite tables need a specialized system")
     if not 2 <= lam <= system.n + 1:
         raise DegreeRangeError(f"rewriting covers degrees 2..{system.n + 1}, got {lam}")
-    resolved = _resolve_all(system, lam)
-    tails = {}
-    for w, (coeff, target) in resolved.items():
-        if is_squarefree(w):
-            continue
-        terms = {target: coeff} if target is not None and coeff != 0 else {}
-        tails[w] = XPoly(system.n, RATIONAL, terms)
+    # XPoly drops the zero coefficient of a (0, None) entry
+    tails = {w: XPoly(system.n, RATIONAL, {target: coeff})
+             for w, (coeff, target) in _resolve_all(system, lam).items()}
     return RewriteTable(system, lam, tails)
 
 

@@ -174,42 +174,43 @@ def cyclic_system(n, first_cofactor, values=None, alias="p") -> BinomialSystem:
 # parsing
 # --------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>-?\d+(?:/\d+)?)|(?P<name>[abpxfg]\d+)"
-                    r"(?:\^(?P<exp>\d+))?|(?P<op>[+=*-]))")
+_SPACE = re.compile(r"\s*")
+_TOKEN = re.compile(r"(?P<num>-?\d+(?:/\d+)?)|(?P<name>[abpxfg]\d+)"
+                    r"(?:\^(?P<exp>\d+))?|(?P<op>[+=*-])")
 
 
 def _tokenize(line: str, line_no: int):
-    pos = 0
+    """(kind, value, 1-based column of the token's first character) triples."""
     out = []
+    pos = _SPACE.match(line).end()
     while pos < len(line):
         m = _TOKEN.match(line, pos)
-        if not m or m.end() == pos:
-            if line[pos:].strip():
-                raise ParseError(f"unexpected input {line[pos:].strip()[:10]!r}",
-                                 line_no, pos + 1)
-            break
+        if not m:
+            raise ParseError(f"unexpected input {line[pos:].strip()[:10]!r}", line_no, pos + 1)
         if m.group("num") is not None:
-            out.append(("num", Fraction(m.group("num")), m.start() + 1))
+            out.append(("num", Fraction(m.group("num")), pos + 1))
         elif m.group("name") is not None:
-            out.append(("name", (m.group("name"), int(m.group("exp") or 1)), m.start() + 1))
-        elif m.group("op") == "*":
-            pass  # multiplication is juxtaposition
-        else:
-            out.append(("op", m.group("op"), m.start() + 1))
-        pos = m.end()
+            out.append(("name", (m.group("name"), int(m.group("exp") or 1)), pos + 1))
+        elif m.group("op") != "*":  # multiplication is juxtaposition
+            out.append(("op", m.group("op"), pos + 1))
+        pos = _SPACE.match(line, m.end()).end()
     return out
 
 
 def _parse_form_line(line: str, line_no: int, n: int, allow_params: bool):
-    """Parse `f<i> = term + term ...` into (i, [term...]).
-
-    A term is (coefficient Fraction, param (kind, index) or None, exps list).
-    """
+    """Parse `f<i> = term + term ...` into (i, [term...])."""
     tokens = _tokenize(line, line_no)
     if len(tokens) < 3 or tokens[0][0] != "name" or tokens[1][1] != "=":
         raise ParseError("expected 'f<i> = ...'", line_no, 1)
     head, _ = tokens[0][1]
-    lhs_index = int(head[1:])
+    return int(head[1:]), _parse_terms(tokens[2:], len(line), line_no, n, allow_params)
+
+
+def _parse_terms(tokens, end: int, line_no: int, n: int, allow_params: bool):
+    """Terms of a sum: (coefficient Fraction, param (kind, index) or None, exps).
+
+    end is the column reported for an empty last term.
+    """
     terms = []
     coeff, param, exps, sign, started = Fraction(1), None, [0] * n, 1, False
 
@@ -220,7 +221,7 @@ def _parse_form_line(line: str, line_no: int, n: int, allow_params: bool):
         terms.append((coeff * sign, param, tuple(exps)))
         coeff, param, exps, sign, started = Fraction(1), None, [0] * n, 1, False
 
-    for kind, value, col in tokens[2:]:
+    for kind, value, col in tokens:
         if kind == "op":
             if value == "+":
                 flush(col)
@@ -251,8 +252,8 @@ def _parse_form_line(line: str, line_no: int, n: int, allow_params: bool):
             else:
                 raise ParseError(f"unexpected name {name!r}", line_no, col)
             started = True
-    flush(len(line))
-    return lhs_index, terms
+    flush(end)
+    return terms
 
 
 def _system_from_lines(text: str) -> BinomialSystem:
@@ -317,7 +318,9 @@ def _space_from_lines(text: str):
 def parse_x_polynomial(text: str, n: int) -> XPoly:
     """Rational-coefficient polynomial in x_1..x_n from an expression like
     'x1^2 + 2 x1 x2' (any degree)."""
-    _, terms = _parse_form_line(f"g1 = {text}", 1, n, allow_params=False)
+    if not text.strip():
+        raise ParseError("empty polynomial", 1, 1)
+    terms = _parse_terms(_tokenize(text, 1), len(text), 1, n, allow_params=False)
     poly = XPoly(n, RATIONAL, {})
     for coeff, _, exps in terms:
         poly = poly + XPoly(n, RATIONAL, {exps: coeff})

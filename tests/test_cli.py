@@ -10,7 +10,13 @@ import pytest
 from binres.cli import main
 from binres.errors import ParseError, ValidationError
 from binres.normal_form import QuadraticSpace
-from binres.systems import BinomialSystem, make_system, parse, parse_assignment
+from binres.systems import (
+    BinomialSystem,
+    make_system,
+    parse,
+    parse_assignment,
+    parse_x_polynomial,
+)
 
 from conftest import SYSTEMS
 
@@ -53,6 +59,32 @@ def test_parse_diagnostics_carry_position():
     with pytest.raises(ParseError) as info:
         parse("f1 = a1 x1^2 + p1 x2 x3 @@\nf2 = a2 x2^2 + p2 x1 x3\nf3 = a3 x3^2 + p3 x1 x2\n")
     assert info.value.line == 1
+
+
+def test_parse_column_is_the_token_start():
+    # the whitespace before x9 is not part of the token
+    with pytest.raises(ParseError) as info:
+        parse("f1 = a1 x1^2 + p1 x9 x2\nf2 = a2 x2^2 + p2 x1 x3\nf3 = a3 x3^2 + p3 x1 x2\n")
+    assert (info.value.line, info.value.column) == (1, 19)
+    with pytest.raises(ParseError) as info:
+        parse("f1 = a1 x1^2 + p1 x2 x3   @@\nf2 = a2 x2^2 + p2 x1 x3\nf3 = a3 x3^2 + p3 x1 x2\n")
+    assert info.value.column == 27
+
+
+def test_rewrite_poly_column_counts_in_the_users_text():
+    with pytest.raises(ParseError) as info:
+        parse_x_polynomial("x3^2", 2)
+    assert (info.value.line, info.value.column) == (1, 1)
+    code, out, err = run_cli("rewrite", "--poly", "x1^2 + x3^2",
+                             str(SYSTEMS / "binomial2_spec.json"))
+    assert code == 1
+    assert "column 8" in err
+
+
+def test_rewrite_empty_poly_is_reported_as_such():
+    code, out, err = run_cli("rewrite", "--poly", "", str(SYSTEMS / "binomial2_spec.json"))
+    assert code == 1
+    assert "empty polynomial" in err and "f<i>" not in err
 
 
 def test_parse_roundtrip_json():

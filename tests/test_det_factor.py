@@ -11,13 +11,13 @@ from binres.det_factor import (
     SparseMatrix,
     circuits_of,
     decompose,
-    factor_by_walk,
     factor_determinant,
 )
 from binres.errors import ModeMismatchError, NonSquareMatrixError, RowOccupancyError, ValidationError
 from binres.frames import cyclic_orders
 from binres.oracle import ModularContext, det_mod
 from binres.polynomials import ParamPoly
+from binres.resultant import delta
 from binres.systems import cyclic_system, make_system
 
 from conftest import random_system
@@ -85,7 +85,7 @@ def test_n2_lam3_closed_form():
     a = lambda i: ParamPoly.param("a", i, 2)
     b = lambda i: ParamPoly.param("b", i, 2)
     assert fp.expand() == a(1) * a(2) * (a(1) * a(2) - b(1) * b(2))
-    assert factor_by_walk(system, 3) == fp
+    assert delta(system, 3) == fp
     circuits = circuits_of(m)
     assert len(circuits) == 1
     assert circuits[0].row_set == {1, 2} and circuits[0].col_set == {1, 2}
@@ -95,7 +95,7 @@ def test_walk_odd_cycles_closed_form():
     # x1^2x2 -> x2^2x3 -> x1x3^2 -> x1^2x2 and x1^2x3 -> x2x3^2 -> x1x2^2 -> x1^2x3
     # are 3-cycles; x_i^3 -> x1x2x3 leaves the graph
     system = cyclic_system(3, (2, 3))
-    fp = factor_by_walk(system, 3)
+    fp = delta(system, 3)
     a = lambda i: ParamPoly.param("a", i, 3)
     b = lambda i: ParamPoly.param("b", i, 3)
     a123 = a(1) * a(2) * a(3)
@@ -113,18 +113,18 @@ def test_walk_equals_matrix_engine():
         n = system.n
         for order in cyclic_orders(n):
             for lam in range(2, n + 2):
-                assert factor_by_walk(system, lam, order) == factor_determinant(
+                assert delta(system, lam, order) == factor_determinant(
                     build_c(system, lam, order)), (system.pattern(), order, lam)
 
 
 def test_walk_rejects_bad_input():
     system = make_system(2, [(1, 2), (1, 2)])
     with pytest.raises(ValidationError):
-        factor_by_walk(system, 1)
+        delta(system, 1)
     with pytest.raises(ValidationError):
-        factor_by_walk(system, 3, (1, 1))
+        delta(system, 3, (1, 1))
     with pytest.raises(ModeMismatchError):
-        factor_by_walk(system.specialize({"a1": 1, "a2": 1, "b1": 1, "b2": 1}), 3)
+        delta(system.specialize({"a1": 1, "a2": 1, "b1": 1, "b2": 1}), 3)
 
 
 def test_zero_row_gives_zero():

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from binres.coeff_matrix import build_c
+from binres.det_factor import circuits_of
 from binres.errors import ValidationError
 from binres.frames import (
     build_column_frame,
@@ -11,8 +16,15 @@ from binres.frames import (
     build_row_frame,
     cyclic_orders,
     identity_order,
+    node_count,
+    paired_count,
+    pairing_step,
+    successor_walks,
 )
 from binres.polynomials import is_squarefree, mono_mul, monomials
+from binres.systems import cyclic_system
+
+from conftest import random_system
 
 
 def test_sizes_n3_lam2():
@@ -149,3 +161,35 @@ def test_permuted_sets_differ_from_relabeled():
     permuted = build_frame(3, 2, sigma)
     identity = build_frame(3, 2, identity_order(3))
     assert set(permuted.sets[1]) != set(identity.sets[sigma[1] - 1])
+
+
+def test_successor_walks_partition_the_graph_into_paths():
+    systems = [cyclic_system(n, c) for n in (3, 4, 5) for c in combinations(range(1, n + 1), 2)]
+    rng = random.Random(3)
+    systems += [random_system(n, rng) for n in (3, 4, 5) for _ in range(2)]
+    for system in systems:
+        n, cofactors = system.n, system.pattern()
+        for order in cyclic_orders(n):
+            for lam in range(2, n + 2):
+                walk_of = {}
+                cycle_lengths = []
+                walks = successor_walks(n, lam, order, cofactors)
+                for walk, (path, gens, end, loop) in enumerate(walks):
+                    assert len(gens) == len(path)
+                    for w in path:
+                        assert w not in walk_of
+                        walk_of[w] = walk
+                    for w, j, nxt in zip(path, gens, path[1:] + [end]):
+                        assert pairing_step(w, order, cofactors) == (j, nxt)
+                    if loop is None:
+                        assert is_squarefree(end) or walk_of.get(end, walk) < walk
+                    else:
+                        assert path[loop] == end
+                        cycle_lengths.append(len(path) - loop)
+                assert set(walk_of) == {w for w in monomials(n, lam) if not is_squarefree(w)}
+                assert len(walk_of) == node_count(n, lam)
+                paired = Counter(pairing_step(w, order, cofactors)[0] for w in walk_of)
+                assert [paired[j] for j in order] == [paired_count(n, lam, g) for g in range(n)]
+                circuits = circuits_of(build_c(system, lam, order))
+                assert sorted(cycle_lengths) == sorted(len(c.rows) for c in circuits), (
+                    system.pattern(), order, lam)

@@ -126,13 +126,12 @@ def test_hilbert_function_degenerate_fallback():
     assert sum(hf) != 2 ** 5 or quotient_dim(spec) != 32
 
 
-def test_rewrite_table_matches_direct_solve():
-    # independent oracle: solve C(lam) @ tails = squarefree block directly
+def _direct_tails(system, lam):
+    """Tails from solving C(lam) @ tails = square-free block of C'(lam) directly,
+    or None when C(lam) is singular."""
     from binres.coeff_matrix import build_cprime
     from binres.linalg import frac_solve
 
-    system = spec2()
-    lam = 2
     mp = build_cprime(system, lam)
     size = mp.row_frame.size
     cols = mp.column_frame.columns
@@ -143,13 +142,36 @@ def test_rewrite_table_matches_direct_solve():
             c_block[e.row][e.col] += e.value
         else:
             d_block[e.row][e.col - size] += e.value
-    solved = frac_solve(c_block, d_block)
-    table = rewrite_table(system, lam)
-    for k in range(size):
-        w = cols[k]
-        expected = XPoly(2, RATIONAL,
-                         {cols[size + s]: -solved[k][s] for s in range(len(cols) - size)})
-        assert table.tail(w) == expected
+    try:
+        solved = frac_solve(c_block, d_block)
+    except ValidationError:
+        return None
+    return {cols[k]: XPoly(system.n, RATIONAL,
+                           {cols[size + s]: -solved[k][s] for s in range(len(cols) - size)})
+            for k in range(size)}
+
+
+def test_rewrite_table_matches_direct_solve(rng):
+    # independent oracle: solve C(lam) @ tails = squarefree block directly
+    # a1 a2 a3 + b1 b2 b3 = 0 makes C(3) singular
+    specs = [spec2(), cyclic_system(3, (2, 3)).specialize(
+        {f"a{i}": 1 for i in range(1, 4)} | {f"b{i}": -1 for i in range(1, 4)})]
+    for n in (3, 4):
+        for k in range(4):
+            spec = random_specialization(random_system(n, rng), rng)
+            if k % 2:  # some b_j = 0
+                values = spec.assignment()
+                values["b1"] = values[f"b{n}"] = Fraction(0)
+                spec = spec.specialize(values)
+            specs.append(spec)
+    for system in specs:
+        for lam in range(2, system.n + 2):
+            expected = _direct_tails(system, lam)
+            if expected is None:
+                with pytest.raises(SingularCoeffMatrixError):
+                    rewrite_table(system, lam)
+                continue
+            assert rewrite_table(system, lam).tails == expected, (system, lam)
 
 
 def test_singularity_equivalence_200_specializations(rng):
