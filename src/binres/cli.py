@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: resultant, delta, matrix, frames, normal-form, rewrite, hilbert,
-dual, dual-hilbert, ann-gens, hessian, hess2-order, selftest.  Exit codes:
-0 success, 1 validation error, 2 internal check failure.  Identical input and
-seed give byte-identical output.
+dual, dual-hilbert, ann-gens, hessian, hess2-order, selftest.  Every
+subcommand but normal-form (always JSON) and selftest takes --json;
+normal-form, hess2-order and selftest take --seed.  Exit codes: 0 success,
+1 validation error, 2 internal check failure.  Identical input and seed give
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .coeff_matrix import build_c, build_cprime
 from .errors import BinresError, InternalCheckError, ValidationError
-from .frames import build_frame, cyclic_orders, identity_order
+from .frames import build_frame, cyclic_orders
 from .inverse_system import (
     ann_generator_counts,
     builtin_dual,
@@ -84,6 +86,10 @@ def _fractions(raw: str, count: int, what: str) -> list[Fraction]:
     return vals
 
 
+def _load_dual(args):
+    return builtin_dual(args.which, _fractions(args.p, 5, "--p"))
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, default=str))
@@ -110,8 +116,6 @@ def _cmd_resultant(args) -> int:
 
 def _cmd_delta(args) -> int:
     system = _load_system(args.system)
-    if system.mode == "rational":
-        raise ValidationError("delta needs a symbolic system")
     order = _parse_order(args.order, system.n)
     fp = delta_of(system, args.lam, order)
     text = fp.to_text(alias=system.alias)
@@ -133,40 +137,31 @@ def _cmd_matrix(args) -> int:
     ]
     payload = {"rows": rows, "columns": cols, "shape": [matrix.nrows, matrix.ncols],
                "entries": entries}
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
     name = "C'" if args.cprime else "C"
-    print(f"{name}({args.lam})  shape {matrix.nrows} x {matrix.ncols}")
+    lines = [f"{name}({args.lam})  shape {matrix.nrows} x {matrix.ncols}"]
     if args.dense:
         grid = [["." for _ in cols] for _ in rows]
         for e in entries:
             grid[e["row"]][e["col"]] = e["entry"]
         width = max(len(c) for row in grid for c in row) + 1
-        header = " " * 14 + "".join(c.rjust(width + 2) for c in cols)
-        print(header)
+        lines.append(" " * 14 + "".join(c.rjust(width + 2) for c in cols))
         for label, row in zip(rows, grid):
-            print(label.rjust(12) + "  " + "".join(c.rjust(width + 2) for c in row))
+            lines.append(label.rjust(12) + "  " + "".join(c.rjust(width + 2) for c in row))
     else:
-        for e in entries:
-            print(f"{rows[e['row']]} , {cols[e['col']]} : {e['entry']}")
+        lines += [f"{rows[e['row']]} , {cols[e['col']]} : {e['entry']}" for e in entries]
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
 def _cmd_frames(args) -> int:
-    order = _parse_order(args.order, args.n) or identity_order(args.n)
-    frame = build_frame(args.n, args.lam, order)
+    frame = build_frame(args.n, args.lam, _parse_order(args.order, args.n))
     sizes = [len(s) for s in frame.sets]
     payload = {"n": args.n, "lambda": args.lam, "order": list(frame.order), "sizes": sizes}
+    lines = [f"M_j({args.lam}) sizes for n={args.n}, order {list(frame.order)}: {sizes}"]
     if args.full:
         payload["sets"] = [[mono_str(m) for m in s] for s in frame.sets]
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"M_j({args.lam}) sizes for n={args.n}, order {list(frame.order)}: {sizes}")
-    if args.full:
-        for j, s in enumerate(frame.sets, start=1):
-            print(f"M_{j}: " + ", ".join(mono_str(m) for m in s))
+        lines += [f"M_{j}: " + ", ".join(s) for j, s in enumerate(payload["sets"], start=1)]
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
@@ -202,20 +197,20 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    form = builtin_dual(args.which, _fractions(args.p, 5, "--p"))
+    form = _load_dual(args)
     _emit(args, {"which": args.which, "form": str(form)}, str(form))
     return 0
 
 
 def _cmd_dual_hilbert(args) -> int:
-    form = builtin_dual(args.which, _fractions(args.p, 5, "--p"))
+    form = _load_dual(args)
     hf = catalecticant_hilbert(form)
     _emit(args, {"hilbert_function": list(hf)}, "(" + ", ".join(map(str, hf)) + ")")
     return 0
 
 
 def _cmd_ann_gens(args) -> int:
-    form = builtin_dual(args.which, _fractions(args.p, 5, "--p"))
+    form = _load_dual(args)
     counts = ann_generator_counts(form)
     text = "(" + ", ".join(map(str, counts)) + f")  total {sum(counts)}"
     _emit(args, {"generator_counts": list(counts), "total": sum(counts)}, text)
@@ -223,7 +218,7 @@ def _cmd_ann_gens(args) -> int:
 
 
 def _cmd_hessian(args) -> int:
-    form = builtin_dual(args.which, _fractions(args.p, 5, "--p"))
+    form = _load_dual(args)
     if args.point is not None:
         value = hess_det_eval(form, args.k, _fractions(args.point, 5, "--point"))
         _emit(args, {"hessian_determinant": str(value)}, str(value))
@@ -232,12 +227,9 @@ def _cmd_hessian(args) -> int:
     labels = [mono_str(m) for m in h.basis]
     payload = {"k": args.k, "basis": labels,
                "entries": [[str(e) for e in row] for row in h.entries]}
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"H^{args.k} over basis {labels}")
-    for label, row in zip(labels, h.entries):
-        print(f"{label}: " + " | ".join(str(e) for e in row))
+    lines = [f"H^{args.k} over basis {labels}"]
+    lines += [f"{label}: " + " | ".join(row) for label, row in zip(labels, payload["entries"])]
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
@@ -279,78 +271,73 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="session seed")
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true", help="machine-readable output")
+    seed_opt = argparse.ArgumentParser(add_help=False)
+    seed_opt.add_argument("--seed", type=int, default=0, help="session seed")
+    dual_opt = argparse.ArgumentParser(add_help=False)
+    dual_opt.add_argument("--which", choices=("F", "G"), required=True)
+    dual_opt.add_argument("--p", required=True, help="five rationals, comma separated")
 
     parser = _Parser(prog="binres", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"binres {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, func, help_, **extra):
-        p = sub.add_parser(name, parents=[common], help=help_, **extra)
+    def add(name, func, help_, *parents):
+        p = sub.add_parser(name, parents=list(parents), help=help_)
         p.set_defaults(func=func)
         return p
 
-    p = add("resultant", _cmd_resultant, "factored resultant of a binomial system")
+    p = add("resultant", _cmd_resultant, "factored resultant of a binomial system", json_opt)
     p.add_argument("system", help="system file (JSON or line grammar)")
 
-    p = add("delta", _cmd_delta, "one factored determinant Delta_lambda")
+    p = add("delta", _cmd_delta, "one factored determinant Delta_lambda", json_opt)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--order", help="cyclic shift index k, or a permutation 2,3,...,1")
     p.add_argument("system")
 
-    p = add("matrix", _cmd_matrix, "emit C(lambda) (or C' with --cprime)")
+    p = add("matrix", _cmd_matrix, "emit C(lambda) (or C' with --cprime)", json_opt)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--order")
     p.add_argument("--cprime", action="store_true", help="include the square-free columns")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--sparse", action="store_true", default=True)
-    fmt.add_argument("--dense", action="store_true")
+    p.add_argument("--dense", action="store_true", help="print a grid, not an entry list")
     p.add_argument("system")
 
-    p = add("frames", _cmd_frames, "sizes (and contents) of the monomial sets M_j")
+    p = add("frames", _cmd_frames, "sizes (and contents) of the monomial sets M_j", json_opt)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--order")
     p.add_argument("--full", action="store_true", help="print the monomial lists")
 
-    p = add("normal-form", _cmd_normal_form, "normalize a quadratic space (JSON output)")
+    p = add("normal-form", _cmd_normal_form, "normalize a quadratic space (JSON output)",
+            seed_opt)
     p.add_argument("space", help="quadratic-space file")
 
-    p = add("rewrite", _cmd_rewrite, "reduce a polynomial to square-free monomials")
+    p = add("rewrite", _cmd_rewrite, "reduce a polynomial to square-free monomials", json_opt)
     p.add_argument("--spec", help="assignments a1=...,b1=... for a symbolic system")
     p.add_argument("--poly", required=True, help="homogeneous polynomial in x1..xn")
     p.add_argument("system")
 
-    p = add("hilbert", _cmd_hilbert, "Hilbert function of R/I for a specialization")
+    p = add("hilbert", _cmd_hilbert, "Hilbert function of R/I for a specialization", json_opt)
     p.add_argument("--spec")
     p.add_argument("system")
 
-    p = add("dual", _cmd_dual, "print a built-in Macaulay dual generator")
-    p.add_argument("--which", choices=("F", "G"), required=True)
-    p.add_argument("--p", required=True, help="five rationals, comma separated")
+    add("dual", _cmd_dual, "print a built-in Macaulay dual generator", json_opt, dual_opt)
+    add("dual-hilbert", _cmd_dual_hilbert, "catalecticant Hilbert function", json_opt, dual_opt)
+    add("ann-gens", _cmd_ann_gens, "annihilator minimal generator counts", json_opt, dual_opt)
 
-    p = add("dual-hilbert", _cmd_dual_hilbert, "catalecticant Hilbert function")
-    p.add_argument("--which", choices=("F", "G"), required=True)
-    p.add_argument("--p", required=True)
-
-    p = add("ann-gens", _cmd_ann_gens, "annihilator minimal generator counts")
-    p.add_argument("--which", choices=("F", "G"), required=True)
-    p.add_argument("--p", required=True)
-
-    p = add("hessian", _cmd_hessian, "k-th Hessian matrix or its value at a point")
-    p.add_argument("--which", choices=("F", "G"), required=True)
-    p.add_argument("--p", required=True)
+    p = add("hessian", _cmd_hessian, "k-th Hessian matrix or its value at a point",
+            json_opt, dual_opt)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--point", help="five rationals, comma separated")
 
-    p = add("hess2-order", _cmd_hess2_order, "vanishing order of hess^2 along the t-line")
+    p = add("hess2-order", _cmd_hess2_order, "vanishing order of hess^2 along the t-line",
+            json_opt, seed_opt)
     p.add_argument("--which", choices=("F", "G"), default="G")
     p.add_argument("--p", required=True, help="four nonzero rationals p1..p4")
     p.add_argument("--point", help="five rationals; sampled from --seed if omitted")
 
-    p = add("selftest", _cmd_selftest, "run the oracle cross-check suite")
+    p = add("selftest", _cmd_selftest, "run the oracle cross-check suite", seed_opt)
     p.add_argument("--n-max", type=int, default=5)
 
     return parser

@@ -62,20 +62,10 @@ def frac_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 def frac_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     """Solve a @ x = b for square invertible a; raises ValidationError if singular."""
     n = len(a)
-    k = len(b[0]) if b else 0
-    aug = [list(map(Fraction, a[i])) + list(map(Fraction, b[i])) for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValidationError("singular matrix in frac_solve")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:n + k] for row in aug]
+    rref, pivots = frac_rref([list(a[i]) + list(b[i]) for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        raise ValidationError("singular matrix in frac_solve")
+    return [row[n:] for row in rref]
 
 
 def frac_det(rows: list[list[Fraction]]) -> Fraction:

@@ -27,7 +27,7 @@ from .errors import (
     InternalCheckError,
     ValidationError,
 )
-from .linalg import frac_rank
+from .linalg import frac_rank, frac_rref
 from .polynomials import RATIONAL, Mono, XPoly, monomials
 
 _MAX_RETRIES = 64
@@ -157,21 +157,8 @@ def _stage_a(state: _State, k: int) -> None:
         return
     for attempt in range(_MAX_RETRIES):
         rows, _ = _window_rows(state.forms, k, k - 1)
-        # greedy independent subset in order
-        echelon: list[list[Fraction]] = []
-        chosen: list[int] = []
-        for i, row in enumerate(rows):
-            vec = list(row)
-            for e in echelon:
-                piv = next(t for t, v in enumerate(e) if v != 0)
-                if vec[piv] != 0:
-                    f = vec[piv] / e[piv]
-                    vec = [a - f * b for a, b in zip(vec, e)]
-            if any(v != 0 for v in vec):
-                echelon.append(vec)
-                chosen.append(i)
-            if len(chosen) == k - 1:
-                break
+        # pivot columns of the transpose: the first k-1 rows independent in order
+        _, chosen = frac_rref(list(zip(*rows)))
         if len(chosen) >= k - 1:
             keep = chosen[: k - 1]
             rest = [i for i in range(k) if i not in keep]

@@ -23,6 +23,7 @@ from .systems import BinomialSystem
 from dataclasses import dataclass
 
 _ORACLE_PRIME = (1 << 62) - 57  # shared with the verification oracle
+_DIVIDES_TRIALS = 40  # modular samples per missing atom in divides
 
 
 @dataclass(frozen=True)
@@ -103,14 +104,14 @@ def _solvable_parameter(factor: BinomialFactor):
     return None
 
 
-def sample_on_factor_variety(f: FactoredPoly, factor: BinomialFactor, rng: random.Random,
-                             p: int = _ORACLE_PRIME) -> tuple[list[int], list[int]]:
-    """Random mod-p point where the given factor (hence f) vanishes.
+def sample_on_factor_variety(f: FactoredPoly, factor: BinomialFactor,
+                             rng: random.Random) -> tuple[list[int], list[int]]:
+    """Random point mod _ORACLE_PRIME where the given factor (hence f) vanishes.
 
     Solves for a parameter occurring with exponent 1; all other parameters
     are sampled nonzero.
     """
-    n = f.n
+    n, p = f.n, _ORACLE_PRIME
     slot = _solvable_parameter(factor)
     if slot is None:
         raise ValidationError("no exponent-1 parameter to solve for in factor")
@@ -142,7 +143,7 @@ def sample_on_factor_variety(f: FactoredPoly, factor: BinomialFactor, rng: rando
     raise DegenerateSystemError("could not sample a point on the factor variety")
 
 
-def divides(f: FactoredPoly, g: FactoredPoly, trials: int = 40, seed: int = 0) -> bool:
+def divides(f: FactoredPoly, g: FactoredPoly) -> bool:
     """Whether f divides g, by atom-wise multiplicity comparison.
 
     On an atom mismatch, falls back to modular evaluation on the missing
@@ -158,12 +159,11 @@ def divides(f: FactoredPoly, g: FactoredPoly, trials: int = 40, seed: int = 0) -
     missing = [(fac, mult) for fac, mult in f.factors if gfac.get(fac, 0) < mult]
     if not missing:
         return True
-    rng = random.Random(seed)
-    p = _ORACLE_PRIME
+    rng = random.Random(0)
     for fac, _ in missing:
-        for _ in range(trials):
-            avals, bvals = sample_on_factor_variety(f, fac, rng, p)
-            if g.eval_mod(avals, bvals, p) != 0:
+        for _ in range(_DIVIDES_TRIALS):
+            avals, bvals = sample_on_factor_variety(f, fac, rng)
+            if g.eval_mod(avals, bvals, _ORACLE_PRIME) != 0:
                 return False
     return True
 

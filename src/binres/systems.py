@@ -188,7 +188,12 @@ def _tokenize(line: str, line_no: int):
         if not m:
             raise ParseError(f"unexpected input {line[pos:].strip()[:10]!r}", line_no, pos + 1)
         if m.group("num") is not None:
-            out.append(("num", Fraction(m.group("num")), pos + 1))
+            try:
+                value = Fraction(m.group("num"))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {m.group('num')!r}",
+                                 line_no, pos + 1) from None
+            out.append(("num", value, pos + 1))
         elif m.group("name") is not None:
             out.append(("name", (m.group("name"), int(m.group("exp") or 1)), pos + 1))
         elif m.group("op") != "*":  # multiplication is juxtaposition
@@ -395,6 +400,8 @@ def parse(text: str):
             space = doc["quadratic_space"]
             if not isinstance(space, list) or not all(isinstance(s, str) for s in space):
                 raise ValidationError("quadratic_space must be a list of form strings")
+            if space and len(space) != n:  # before parsing: each term allocates n exponents
+                raise ValidationError(f"need exactly {n} forms in {n} variables, got {len(space)}")
             forms = [parse_x_polynomial(s, n) for s in space]
             return QuadraticSpace.from_forms(forms)
         return _system_from_json(doc)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from binres.cli import main
+from binres.cli import build_parser, main
 from binres.errors import ParseError, ValidationError
 from binres.normal_form import QuadraticSpace
 from binres.systems import (
@@ -176,6 +177,7 @@ _VALUED = [dict(f, a="1", b="2") for f in _FORMS]
     {"schema": 1, "n": 2, "forms": [dict(_VALUED[0], a=None), _VALUED[1]]},
     {"schema": 1, "quadratic_space": ["x1^2", "x2^2"]},
     {"schema": 1, "n": -1, "quadratic_space": ["x1^2", "x2^2"]},
+    {"schema": 1, "n": 10 ** 30, "quadratic_space": ["x1^2"]},
     {"schema": 1, "n": 2, "forms": _FORMS, "order": 5},
     {"schema": 1, "n": 2, "forms": _FORMS, "order": [1, "a"]},
     {"schema": 1, "n": 2, "forms": _FORMS, "order": [1.0, 2.0]},
@@ -183,7 +185,7 @@ _VALUED = [dict(f, a="1", b="2") for f in _FORMS]
     {"schema": 1, "n": 2, "forms": _FORMS, "order": []},
 ], ids=["no-n", "no-forms", "no-square", "no-cofactor", "n-zero", "n-string", "n-float",
         "n-bool", "a-not-rational", "b-zero-denominator", "a-null", "space-no-n",
-        "space-negative-n", "order-int", "order-mixed", "order-float", "order-bool",
+        "space-negative-n", "space-huge-n", "order-int", "order-mixed", "order-float", "order-bool",
         "order-empty"])
 def test_malformed_json_exits_one(tmp_path, doc):
     bad = tmp_path / "bad.json"
@@ -320,3 +322,93 @@ def test_internal_check_failure_exits_two(monkeypatch):
     code, out, err = run_cli("frames", "--n", "2", "--lambda", "1")
     assert code == 2
     assert "internal check failed" in err
+
+
+# -- zero denominators ----------------------------------------------------
+
+@pytest.mark.parametrize("name, text, argv, column", [
+    ("sys.txt", "f1 = 1/0 x1^2 + 1 x1 x2\nf2 = 1 x2^2 + 1 x1 x2\n", ["resultant"], 6),
+    ("space.txt", "g1 = 1/0 x1^2\n", ["normal-form"], 6),
+    ("space.json", json.dumps({"schema": 1, "n": 1, "quadratic_space": ["1/0 x1^2"]}),
+     ["normal-form"], 1),
+], ids=["line-system", "line-space", "json-space"])
+def test_zero_denominator_in_a_file_exits_one(tmp_path, name, text, argv, column):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(*argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"binres: error: zero denominator in '1/0' (line 1, column {column})\n"
+
+
+def test_zero_denominator_in_rewrite_poly_exits_one():
+    code, out, err = run_cli("rewrite", "--poly", "1/0", str(SYSTEMS / "binomial2_spec.json"))
+    assert code == 1
+    assert out == ""
+    assert err == "binres: error: zero denominator in '1/0' (line 1, column 1)\n"
+
+
+# -- every option is read --------------------------------------------------
+
+class _RecordingNamespace(argparse.Namespace):
+    """Namespace that records which attributes are read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        object.__setattr__(self, "_read", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+_SPEC2 = str(SYSTEMS / "binomial2_spec.json")
+_REPRESENTATIVE_ARGV = [
+    ["resultant", "--json", str(SYSTEMS / "cyclic12.json")],
+    ["delta", "--json", "--lambda", "2", "--order", "1", str(SYSTEMS / "binomial2.json")],
+    ["matrix", "--lambda", "2", "--order", "1", "--cprime", "--dense",
+     str(SYSTEMS / "binomial2.json")],
+    ["frames", "--json", "--n", "2", "--lambda", "1", "--order", "1", "--full"],
+    ["normal-form", "--seed", "1", str(SYSTEMS / "space3.json")],
+    ["rewrite", "--json", "--spec", "a1=1,a2=1,b1=1,b2=2", "--poly", "x1^2",
+     str(SYSTEMS / "binomial2.json")],
+    ["hilbert", "--json", "--spec", "a1=1,a2=1,b1=1,b2=2", str(SYSTEMS / "binomial2.json")],
+    ["dual", "--json", "--which", "F", "--p", "1,1,1,1,1"],
+    ["dual-hilbert", "--json", "--which", "G", "--p", "1,1,1,1,-1"],
+    ["ann-gens", "--json", "--which", "F", "--p", "1,1,1,1,1"],
+    ["hessian", "--json", "--which", "G", "--p", "1,1,1,1,-1", "--k", "1",
+     "--point", "1,2,3,1,1"],
+    ["hess2-order", "--json", "--seed", "3", "--which", "G", "--p", "2,1,3/2,1"],
+    ["selftest", "--seed", "2", "--n-max", "2"],
+]
+
+
+def test_representative_argv_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in _REPRESENTATIVE_ARGV) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("argv", _REPRESENTATIVE_ARGV, ids=lambda argv: argv[0])
+def test_every_option_is_read(argv):
+    args = build_parser().parse_args(argv)
+    recording = _RecordingNamespace(**vars(args))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert args.func(recording) == 0
+    unread = set(vars(args)) - object.__getattribute__(recording, "_read") - {"func", "command"}
+    assert not unread, f"{argv[0]} never reads {sorted(unread)}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["resultant", "--seed", "1", str(SYSTEMS / "cyclic12.json")],
+    ["matrix", "--sparse", "--lambda", "2", str(SYSTEMS / "binomial2.json")],
+    ["normal-form", "--json", str(SYSTEMS / "space3.json")],
+    ["selftest", "--json"],
+], ids=["resultant-seed", "matrix-sparse", "normal-form-json", "selftest-json"])
+def test_options_nothing_reads_are_usage_errors(argv):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert "unrecognized arguments" in err.getvalue()
