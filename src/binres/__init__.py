@@ -10,15 +10,7 @@ and higher Hessians.
 __version__ = "1.0.0"
 
 from .coeff_matrix import CoeffMatrix, MatrixEntry, build_c, build_cprime
-from .det_factor import (
-    BinomialFactor,
-    Circuit,
-    FactoredPoly,
-    SparseMatrix,
-    circuits_of,
-    decompose,
-    factor_determinant,
-)
+from .det_factor import BinomialFactor, FactoredPoly, decompose, factor_determinant
 from .errors import (
     BinresError,
     DegenerateSampleError,
@@ -31,7 +23,6 @@ from .errors import (
     ModeMismatchError,
     NonSquareMatrixError,
     ParseError,
-    RowOccupancyError,
     SingularCoeffMatrixError,
     ValidationError,
 )

@@ -44,10 +44,6 @@ class NonSquareMatrixError(ValidationError):
     """Determinant factorization requires a square matrix."""
 
 
-class RowOccupancyError(ValidationError):
-    """A matrix row holds more than two nonzero entries."""
-
-
 class SingularCoeffMatrixError(BinresError):
     """C(lambda) is singular after specialization; carries the degree."""
 

@@ -407,7 +407,6 @@ def run_selftest(seed: int = 0, n_max: int = 5) -> list[SelfTestRow]:
     """Cross-check the factorization engine against the oracles."""
     if n_max < 2:
         raise ValidationError(f"selftest needs n_max >= 2, got {n_max}")
-    from .det_factor import factor_determinant
     from .frames import cyclic_orders
     from .resultant import delta, delta_chain, divides, radical, resultant
 
@@ -417,13 +416,11 @@ def run_selftest(seed: int = 0, n_max: int = 5) -> list[SelfTestRow]:
     for n in range(2, n_max + 1):
         system = _random_system(n, rng)
         mismatches = 0
-        walk_mismatches = 0
         checked = 0
         for order in cyclic_orders(n):
             for lam in range(2, n + 2):
                 matrix = build_c(system, lam, order)
-                fp = factor_determinant(matrix)
-                walk_mismatches += delta(system, lam, order) != fp
+                fp = delta(system, lam, order)
                 for trial in range(4):
                     ctx = ModularContext.random(n, rng.randrange(1 << 30),
                                                 allow_zero=(trial == 3))
@@ -431,10 +428,8 @@ def run_selftest(seed: int = 0, n_max: int = 5) -> list[SelfTestRow]:
                     checked += 1
                     if fp.eval_mod(av, bv, ctx.prime) != det_mod(matrix, ctx):
                         mismatches += 1
-        rows.append(SelfTestRow(f"n={n} factor_determinant vs det_mod",
+        rows.append(SelfTestRow(f"n={n} delta walk vs det_mod",
                                 mismatches == 0, f"{checked} evaluations"))
-        rows.append(SelfTestRow(f"n={n} delta walk vs factor_determinant",
-                                walk_mismatches == 0, f"{n * n} determinants"))
 
         chain = delta_chain(system)
         ok = all(divides(radical(chain.delta(lam)), radical(chain.delta(lam + 1)))

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .det_factor import BinomialFactor, FactoredPoly
+from .det_factor import BinomialFactor, FactoredPoly, circuit_factor
 from .errors import DegenerateSystemError, InternalCheckError, ModeMismatchError, ValidationError
 from .frames import check_order, cyclic_orders, paired_count, successor_walks
 from .polynomials import SYMBOLIC, normalize_assignment
@@ -45,7 +45,7 @@ def delta(system: BinomialSystem, lam: int, order=None) -> FactoredPoly:
     """Factored Delta_lambda = det C(lambda) for one index order.
 
     Every node of the successor map off a cycle contributes its a_j, every
-    cycle of length r the factor prod a + (-1)^(r-1) prod b (see `frames`).
+    cycle of length r the factor prod a + (-1)^(r-1) prod b (`circuit_factor`).
     Equal to factor_determinant(build_c(system, lam, order)).
     """
     _require_symbolic(system)
@@ -60,14 +60,10 @@ def delta(system: BinomialSystem, lam: int, order=None) -> FactoredPoly:
     for _, gens, _, loop in successor_walks(n, lam, order, system.pattern()):
         if loop is None:
             continue
-        a_part, b_part = [0] * (2 * n), [0] * (2 * n)
-        for j in gens[loop:]:
-            a_part[j - 1] += 1
-            b_part[n + j - 1] += 1
+        cycle = gens[loop:]
+        for j in cycle:
             paired[j - 1] -= 1
-        # the pure-a side is the larger, so it leads the canonical factor
-        rel = -1 if (len(gens) - loop) % 2 == 0 else 1  # (-1)^(r-1)
-        factor = BinomialFactor(n, tuple(a_part), tuple(b_part), rel)
+        factor = circuit_factor(n, cycle)
         factors[factor] = factors.get(factor, 0) + 1
     return FactoredPoly(n, 1, tuple(paired) + (0,) * n, factors)
 

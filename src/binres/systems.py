@@ -175,28 +175,36 @@ def cyclic_system(n, first_cofactor, values=None, alias="p") -> BinomialSystem:
 # --------------------------------------------------------------------------
 
 _SPACE = re.compile(r"\s*")
-_TOKEN = re.compile(r"(?P<num>-?\d+(?:/\d+)?)|(?P<name>[abpxfg]\d+)"
+_TOKEN = re.compile(r"(?P<num>-?\d+(?:/\d+)?)|(?P<name>[abpxfg])(?P<index>\d+)"
                     r"(?:\^(?P<exp>\d+))?|(?P<op>[+=*-])")
 
 
+def _too_long(token: str, line: int, column: int) -> ParseError:
+    """Python refuses int strings past its digit limit (4,300 by default)."""
+    return ParseError(f"integer too long in {token[:12]}... ({len(token)} characters)",
+                      line, column)
+
+
 def _tokenize(line: str, line_no: int):
-    """(kind, value, 1-based column of the token's first character) triples."""
+    """(kind, value, 1-based column of the token's first character) triples;
+    a name's value is (letter, index, exponent)."""
     out = []
     pos = _SPACE.match(line).end()
     while pos < len(line):
         m = _TOKEN.match(line, pos)
         if not m:
             raise ParseError(f"unexpected input {line[pos:].strip()[:10]!r}", line_no, pos + 1)
-        if m.group("num") is not None:
-            try:
-                value = Fraction(m.group("num"))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {m.group('num')!r}",
-                                 line_no, pos + 1) from None
-            out.append(("num", value, pos + 1))
-        elif m.group("name") is not None:
-            out.append(("name", (m.group("name"), int(m.group("exp") or 1)), pos + 1))
-        elif m.group("op") != "*":  # multiplication is juxtaposition
+        try:
+            if m.group("num") is not None:
+                out.append(("num", Fraction(m.group("num")), pos + 1))
+            elif m.group("name") is not None:
+                out.append(("name", (m.group("name"), int(m.group("index")),
+                                     int(m.group("exp") or 1)), pos + 1))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {m.group('num')!r}", line_no, pos + 1) from None
+        except ValueError:
+            raise _too_long(m.group(), line_no, pos + 1) from None
+        if m.group("op") not in (None, "*"):  # multiplication is juxtaposition
             out.append(("op", m.group("op"), pos + 1))
         pos = _SPACE.match(line, m.end()).end()
     return out
@@ -207,8 +215,7 @@ def _parse_form_line(line: str, line_no: int, n: int, allow_params: bool):
     tokens = _tokenize(line, line_no)
     if len(tokens) < 3 or tokens[0][0] != "name" or tokens[1][1] != "=":
         raise ParseError("expected 'f<i> = ...'", line_no, 1)
-    head, _ = tokens[0][1]
-    return int(head[1:]), _parse_terms(tokens[2:], len(line), line_no, n, allow_params)
+    return tokens[0][1][1], _parse_terms(tokens[2:], len(line), line_no, n, allow_params)
 
 
 def _parse_terms(tokens, end: int, line_no: int, n: int, allow_params: bool):
@@ -241,8 +248,7 @@ def _parse_terms(tokens, end: int, line_no: int, n: int, allow_params: bool):
             coeff *= value
             started = True
         else:
-            name, exp = value
-            letter, index = name[0], int(name[1:])
+            letter, index, exp = value
             if letter == "x":
                 if not 1 <= index <= n:
                     raise ParseError(f"variable x{index} out of range 1..{n}", line_no, col)
@@ -255,7 +261,7 @@ def _parse_terms(tokens, end: int, line_no: int, n: int, allow_params: bool):
                     raise ParseError("at most one plain parameter per term", line_no, col)
                 param = ("a" if letter == "a" else "b", index)
             else:
-                raise ParseError(f"unexpected name {name!r}", line_no, col)
+                raise ParseError(f"unexpected name '{letter}{index}'", line_no, col)
             started = True
     flush(end)
     return terms
@@ -382,6 +388,23 @@ def _system_from_json(doc: dict) -> "BinomialSystem":
     return make_system(n, cofactors, values, doc.get("order"), doc.get("alias", "b"))
 
 
+_JSON_SCALAR = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
+def _json_too_long(text: str, exc: ValueError) -> ParseError:
+    """The error at the first JSON integer literal that int() refuses."""
+    for m in _JSON_SCALAR.finditer(text):
+        token = m.group()
+        if token.lstrip("-").isdigit():
+            try:
+                int(token)
+            except ValueError:
+                start = m.start()
+                return _too_long(token, text.count("\n", 0, start) + 1,
+                                 start - text.rfind("\n", 0, start))
+    return ParseError(f"invalid JSON: {exc}")
+
+
 def parse(text: str):
     """Parse a system or quadratic-space description (JSON or line grammar).
 
@@ -393,6 +416,8 @@ def parse(text: str):
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+        except ValueError as exc:
+            raise _json_too_long(text, exc) from None
         if "quadratic_space" in doc:
             from .normal_form import QuadraticSpace
 

@@ -348,6 +348,29 @@ def test_zero_denominator_in_rewrite_poly_exits_one():
     assert err == "binres: error: zero denominator in '1/0' (line 1, column 1)\n"
 
 
+_HUGE = "1" * 5000  # past Python's default limit of 4,300 digits for int strings
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("sys.json", '{"schema": 1,\n "n": %s, "forms": []}' % _HUGE, ["resultant"],
+     f"integer too long in {_HUGE[:12]}... (5000 characters) (line 2, column 7)"),
+    ("sys.txt", f"f1 = 1 x1^2 + 1 x1 x2\nf2 = {_HUGE} x2^2 + 1 x1 x2\n", ["resultant"],
+     f"integer too long in {_HUGE[:12]}... (5000 characters) (line 2, column 6)"),
+    (None, None, ["rewrite", "--poly", f"x1^2 + {_HUGE} x2^2"],
+     f"integer too long in {_HUGE[:12]}... (5000 characters) (line 1, column 8)"),
+    (None, None, ["rewrite", "--poly", f"x1^{_HUGE}"],
+     f"integer too long in x1^{_HUGE[:9]}... (5003 characters) (line 1, column 1)"),
+], ids=["json", "line-grammar", "rewrite-poly", "rewrite-poly-exponent"])
+def test_huge_integer_exits_one(tmp_path, name, text, argv, message):
+    if name is not None:
+        (tmp_path / name).write_text(text)
+    path = tmp_path / name if name else SYSTEMS / "binomial2_spec.json"
+    code, out, err = run_cli(*argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"binres: error: {message}\n"
+
+
 # -- every option is read --------------------------------------------------
 
 class _RecordingNamespace(argparse.Namespace):

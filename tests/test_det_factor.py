@@ -1,20 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
-import logging
 import random
 
 import pytest
 
-from binres.coeff_matrix import build_c
-from binres.det_factor import (
-    SparseMatrix,
-    circuits_of,
-    decompose,
-    factor_determinant,
-)
-from binres.errors import ModeMismatchError, NonSquareMatrixError, RowOccupancyError, ValidationError
-from binres.frames import cyclic_orders
+from binres.coeff_matrix import MatrixEntry, build_c, build_cprime
+from binres.det_factor import FactoredPoly, decompose, factor_determinant
+from binres.errors import ModeMismatchError, NonSquareMatrixError, ValidationError
+from binres.frames import cyclic_orders, node_count
 from binres.oracle import ModularContext, det_mod
 from binres.polynomials import ParamPoly
 from binres.resultant import delta
@@ -23,8 +18,16 @@ from binres.systems import cyclic_system, make_system
 from conftest import random_system
 
 
-def peel_and_cycle_matrix():
-    return SparseMatrix.from_triples(4, 4, [
+def c2_with(triples):
+    """C(2) of a system in 4 variables (rows x_1^2 .. x_4^2, row r on f_{r+1})
+    holding the given (row, col, kind, index) entries instead of its own."""
+    m = build_c(cyclic_system(4, (2, 3)), 2)
+    return dataclasses.replace(m, entries=tuple(MatrixEntry(*t) for t in triples))
+
+
+def forced_and_cycle_matrix():
+    # row graph 0 -> 3, 1 -> 3, 2 -> 3 -> 2: rows 0 and 1 are off the cycle
+    return c2_with([
         (0, 0, "a", 1), (0, 3, "b", 1),
         (1, 1, "a", 2), (1, 3, "b", 2),
         (2, 2, "a", 3), (2, 3, "b", 3),
@@ -32,7 +35,7 @@ def peel_and_cycle_matrix():
     ])
 
 
-def brute_force_det(m: SparseMatrix) -> ParamPoly:
+def brute_force_det(m) -> ParamPoly:
     """Expansion over entry choices (one per row), a permanent-style oracle."""
     n = m.n
     rows = [[] for _ in range(m.nrows)]
@@ -53,28 +56,26 @@ def brute_force_det(m: SparseMatrix) -> ParamPoly:
 
 
 def test_4x4_peels_then_one_cycle():
-    fp = factor_determinant(peel_and_cycle_matrix())
+    fp = factor_determinant(forced_and_cycle_matrix())
     a = lambda i: ParamPoly.param("a", i, 4)
     b = lambda i: ParamPoly.param("b", i, 4)
     expected = a(1) * a(2) * (a(3) * a(4) - b(3) * b(4))
-    assert fp.expand() == expected
+    assert fp.expand() == expected == brute_force_det(forced_and_cycle_matrix())
     assert not fp.is_zero()
 
 
 def test_4x4_single_circuit():
-    circuits = circuits_of(peel_and_cycle_matrix())
-    assert len(circuits) == 1
-    assert circuits[0].row_set == {2, 3} and circuits[0].col_set == {2, 3}
+    circuits = decompose(forced_and_cycle_matrix()).circuits
+    assert [sorted(c) for c in circuits] == [[2, 3]]
 
 
 def test_diagonal_matrix():
-    n = 4
-    m = SparseMatrix.from_triples(n, n, [(i, i, "a", i + 1) for i in range(n)])
+    m = c2_with([(i, i, "a", i + 1) for i in range(4)])
     fp = factor_determinant(m)
     assert fp.factors == ()
     assert fp.monomial == (1, 1, 1, 1, 0, 0, 0, 0)
     assert fp.sign == 1
-    assert circuits_of(m) == []
+    assert decompose(m).circuits == ()
 
 
 def test_n2_lam3_closed_form():
@@ -86,9 +87,7 @@ def test_n2_lam3_closed_form():
     b = lambda i: ParamPoly.param("b", i, 2)
     assert fp.expand() == a(1) * a(2) * (a(1) * a(2) - b(1) * b(2))
     assert delta(system, 3) == fp
-    circuits = circuits_of(m)
-    assert len(circuits) == 1
-    assert circuits[0].row_set == {1, 2} and circuits[0].col_set == {1, 2}
+    assert [sorted(c) for c in decompose(m).circuits] == [[1, 2]]
 
 
 def test_walk_odd_cycles_closed_form():
@@ -127,39 +126,30 @@ def test_walk_rejects_bad_input():
         delta(system.specialize({"a1": 1, "a2": 1, "b1": 1, "b2": 1}), 3)
 
 
-def test_zero_row_gives_zero():
-    m = SparseMatrix(2, 2, 2, tuple())
-    assert factor_determinant(m).is_zero()
-    m = SparseMatrix.from_triples(2, 2, [(0, 0, "a", 1), (0, 1, "b", 1)])
-    assert factor_determinant(m).is_zero()
-
-
-def test_circuit_with_equal_matchings():
-    # both matchings of the 2-cycle carry a1^2: det is a1^2 - a1^2 or a1^2 + a1^2
-    cancel = SparseMatrix.from_triples(1, 2, [(0, 0, "a", 1), (0, 1, "a", 1),
-                                             (1, 0, "a", 1), (1, 1, "a", 1)])
-    assert factor_determinant(cancel).is_zero()
-    double = SparseMatrix.from_triples(1, 2, [(0, 0, "a", 1), (0, 1, "a", 1),
-                                             (1, 0, "a", 1, -1), (1, 1, "a", 1)])
-    fp = factor_determinant(double)
-    a1 = ParamPoly.param("a", 1, 1)
-    assert fp.expand() == brute_force_det(double) == a1 * a1 * 2
-    assert fp.specialize({"a1": 3, "b1": 1}) == 18
-
-
 def test_non_square_rejected():
-    m = SparseMatrix(2, 2, 3, tuple())
     with pytest.raises(NonSquareMatrixError):
-        factor_determinant(m)
+        factor_determinant(build_cprime(make_system(2, [(1, 2), (1, 2)]), 2))
+
+
+def test_specialized_matrix_rejected():
+    system = make_system(2, [(1, 2), (1, 2)], values=[(1, 2), (3, 4)])
+    with pytest.raises(ModeMismatchError):
+        factor_determinant(build_c(system, 3))
 
 
 def test_row_occupancy_rejected():
-    m = SparseMatrix.from_triples(3, 3, [
-        (0, 0, "a", 1), (0, 1, "b", 1), (0, 2, "b", 2),
-        (1, 1, "a", 2), (2, 2, "a", 3),
-    ])
-    with pytest.raises(RowOccupancyError):
-        factor_determinant(m)
+    diagonal = [(i, i, "a", i + 1) for i in range(4)]
+    bad_rows = [
+        diagonal + [(0, 1, "b", 1), (0, 2, "b", 1)],  # two b-entries
+        diagonal[1:],                                 # no a in row 0
+        diagonal + [(0, 1, "a", 1)],                  # an a off the diagonal
+        diagonal + [(0, 0, "b", 1)],                  # a b on the diagonal
+        diagonal + [(0, 1, "b", 2)],                  # another generator's b
+        diagonal + [(0, 1, "b", 1, -1)],              # a signed entry
+    ]
+    for triples in bad_rows:
+        with pytest.raises(ValidationError):
+            factor_determinant(c2_with(triples))
 
 
 def test_oracle_equivalence_random_systems(rng):
@@ -179,72 +169,22 @@ def test_oracle_equivalence_random_systems(rng):
     assert checked == 200
 
 
-def random_binomial_p_matrix(size: int, rng: random.Random) -> SparseMatrix:
-    """Random irreducible P: row i holds a_i and b_i; every column has one a
-    and one b (a single cycle through all rows)."""
-    acols = list(range(size))
-    rng.shuffle(acols)
-    # b-columns: derangement-style cycle over the a-columns so P is irreducible
-    perm = list(range(size))
-    rng.shuffle(perm)
-    triples = []
-    for i in range(size):
-        triples.append((i, acols[perm[i]], "a", i + 1))
-        triples.append((i, acols[perm[(i + 1) % size]], "b", i + 1))
-    return SparseMatrix.from_triples(size, size, triples)
-
-
-def test_irreducible_p_case_sign_law(rng):
-    # det P = +-(a_1...a_N + (-1)^(N+1) b_1...b_N) for irreducible P
-    for size in range(2, 11):
-        m = random_binomial_p_matrix(size, rng)
-        fp = factor_determinant(m)
-        assert fp.expand() == brute_force_det(m)
-        assert len(fp.factors) == 1
-        (factor, mult), = fp.factors
-        assert mult == 1
-        assert not any(fp.monomial)
-        assert factor.sign == (-1) ** (size + 1)
-        assert factor.a_part == (1,) * size + (0,) * size
-        assert factor.b_part == (0,) * size + (1,) * size
-
-
-def random_signed_matrix(rng: random.Random, lengths: list[int],
-                         n_tree: int) -> SparseMatrix:
-    """Random matrix of +-1-signed entries, at most two per row: one circuit
-    per entry of `lengths`, plus `n_tree` rows that the peel forces.
-
-    Logical row i holds an entry in logical column i.  A circuit on rows
-    s..s+k-1 adds row s+j -> column s+(j+1) mod k; tree row t may add an
-    entry in any earlier column, so column t only holds entries of rows >= t
-    and the tree peels from the last row back.  Rows and columns are then
-    shuffled.
-    """
-    n = 4
-    size = sum(lengths) + n_tree
-    row_of = rng.sample(range(size), size)
-    col_of = rng.sample(range(size), size)
-    cells = [(i, i) for i in range(size)]
-    start = 0
-    for k in lengths:
-        cells += [(start + j, start + (j + 1) % k) for j in range(k)]
-        start += k
-    cells += [(t, rng.randrange(t)) for t in range(start, size) if rng.random() < 0.8]
-    return SparseMatrix.from_triples(n, size, [
-        (row_of[r], col_of[c], rng.choice("ab"), rng.randint(1, n), rng.choice((1, -1)))
-        for r, c in cells
-    ])
-
-
-def test_signed_entries_with_forced_and_several_circuits(rng):
-    for _ in range(60):
-        lengths = [rng.choice((2, 4)), 3] + rng.sample([2, 3], rng.randint(0, 1))
-        n_tree = rng.randint(1, 3)
-        m = random_signed_matrix(rng, lengths, n_tree)
-        dec = decompose(m)
-        assert len(dec.forced) == n_tree
-        assert sorted(len(c.rows) for c in dec.circuits) == sorted(lengths)
-        assert factor_determinant(m).expand() == brute_force_det(m)
+def test_sign_law_against_expansion():
+    # every cyclic system at n = 2, 3, every cyclic order, every lambda whose
+    # C has at most 12 rows: cycles of length r carry (-1)^(r-1)
+    lengths = set()
+    for n in (2, 3):
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            system = cyclic_system(n, pair)
+            for order in cyclic_orders(n):
+                for lam in itertools.takewhile(lambda lam: node_count(n, lam) <= 12,
+                                               itertools.count(2)):
+                    m = build_c(system, lam, order)
+                    expansion = brute_force_det(m)
+                    assert delta(system, lam, order).expand() == expansion, (pair, order, lam)
+                    assert factor_determinant(m).expand() == expansion, (pair, order, lam)
+                    lengths.update(len(c) for c in decompose(m).circuits)
+    assert {r % 2 for r in lengths} == {0, 1}
 
 
 def test_brute_force_agreement_small_random(rng):
@@ -255,27 +195,20 @@ def test_brute_force_agreement_small_random(rng):
         m = build_c(system, lam)
         if m.nrows > 10:
             continue
-        assert factor_determinant(m).expand() == brute_force_det(
-            SparseMatrix(n, m.nrows, m.ncols, m.entries))
+        assert factor_determinant(m).expand() == brute_force_det(m)
 
 
-def test_multiplicativity_block_diagonal(rng):
-    sys_a = make_system(2, [(1, 2), (1, 2)])
-    sys_b = make_system(2, [(1, 2), (1, 2)])
-    ma = build_c(sys_a, 3)
-    mb = build_c(sys_b, 2)
-    off_r, off_c = ma.nrows, ma.ncols
-    triples = [(e.row, e.col, e.kind, e.index) for e in ma.entries]
-    triples += [(e.row + off_r, e.col + off_c, e.kind, e.index) for e in mb.entries]
-    merged = SparseMatrix.from_triples(2, off_r + mb.nrows, triples)
-    fp = factor_determinant(merged)
-    fa = factor_determinant(ma)
-    fb = factor_determinant(mb)
-    assert fp.expand() == fa.expand() * fb.expand()
-    merged_factors = fp.factor_multiplicities()
-    for fac, mult in list(fa.factor_multiplicities().items()) + \
-            list(fb.factor_multiplicities().items()):
-        assert merged_factors.get(fac, 0) >= mult
+def test_multiplicativity_block_diagonal():
+    # two 2-cycles on the blocks {0, 1} and {2, 3}
+    diagonal = [(i, i, "a", i + 1) for i in range(4)]
+    block_a = [(0, 1, "b", 1), (1, 0, "b", 2)]
+    block_b = [(2, 3, "b", 3), (3, 2, "b", 4)]
+    fp = factor_determinant(c2_with(diagonal + block_a + block_b))
+    fa = factor_determinant(c2_with(diagonal + block_a))  # det block_a * a3 a4
+    fb = factor_determinant(c2_with(diagonal + block_b))  # a1 a2 * det block_b
+    a1234 = factor_determinant(c2_with(diagonal)).expand()
+    assert fp.expand() * a1234 == fa.expand() * fb.expand()
+    assert fp.factor_multiplicities() == fa.factor_multiplicities() | fb.factor_multiplicities()
 
 
 def test_circuit_persistence(rng):
@@ -292,13 +225,12 @@ def test_circuit_persistence(rng):
                 prev = atoms
 
 
-def test_repeated_index_circuits_are_logged(caplog):
+def test_repeated_index_circuits_match_walk():
     # the mixed-cofactor family produces circuits with exponents > 1
     system = make_system(5, [(2, 3), (3, 5), (4, 5), (1, 3), (1, 2)])
-    with caplog.at_level(logging.DEBUG, logger="binres.det_factor"):
-        fp = factor_determinant(build_c(system, 6))
+    fp = factor_determinant(build_c(system, 6))
     assert any(any(e > 1 for e in f.a_part) for f, _ in fp.factors)
-    assert any("repeated generator indices" in r.message for r in caplog.records)
+    assert fp == delta(system, 6)
 
 
 def test_factored_poly_specialize_matches_expand(rng):
@@ -314,24 +246,29 @@ def test_factored_poly_specialize_matches_expand(rng):
 
 
 def test_decompose_reports_chains():
-    dec = decompose(peel_and_cycle_matrix())
-    assert not dec.zero
-    peeled = {(e.row, e.col) for e in dec.forced}
-    assert peeled == {(0, 0), (1, 1)}
+    dec = decompose(forced_and_cycle_matrix())
+    assert dec.forced == (0, 1)
 
 
 def test_circuit_hops_alternate(rng):
+    # a circuit's row r hops along its b-entry to column c, then down column c
+    # to the diagonal a of row c, the circuit's next row
     for _ in range(10):
         n = rng.randint(2, 5)
         system = random_system(n, rng)
         m = build_c(system, rng.randint(2, n + 1))
-        for circuit in circuits_of(m):
-            hops = circuit.hops
-            size = len(hops)
-            assert size == 2 * len(circuit.rows)
-            for i in range(size):
-                cur, nxt = hops[i], hops[(i + 1) % size]
-                if i % 2 == 0:
-                    assert cur.row == nxt.row  # hop along a row
-                else:
-                    assert cur.col == nxt.col  # hop along a column
+        col = {(e.row, e.kind): e.col for e in m.entries}
+        for circuit in decompose(m).circuits:
+            for r, nxt in zip(circuit, circuit[1:] + circuit[:1]):
+                assert col[r, "b"] == nxt == col[nxt, "a"]
+
+
+def test_interface_of_the_benchmark_harness():
+    # perfbench imports factor_determinant, and its tracer counts
+    # len(decompose(m).forced) and len(decompose(m).circuits)
+    system = cyclic_system(4, (2, 3))
+    m = build_c(system, 5, cyclic_orders(4)[1])
+    dec = decompose(m)
+    assert len(dec.forced) + sum(len(c) for c in dec.circuits) == m.nrows
+    fp = factor_determinant(m)
+    assert isinstance(fp, FactoredPoly) and fp == delta(system, 5, cyclic_orders(4)[1])

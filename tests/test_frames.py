@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from binres.coeff_matrix import build_c
-from binres.det_factor import circuits_of
+from binres.det_factor import decompose
 from binres.errors import ValidationError
 from binres.frames import (
     build_column_frame,
@@ -190,6 +190,6 @@ def test_successor_walks_partition_the_graph_into_paths():
                 assert len(walk_of) == node_count(n, lam)
                 paired = Counter(pairing_step(w, order, cofactors)[0] for w in walk_of)
                 assert [paired[j] for j in order] == [paired_count(n, lam, g) for g in range(n)]
-                circuits = circuits_of(build_c(system, lam, order))
-                assert sorted(cycle_lengths) == sorted(len(c.rows) for c in circuits), (
+                circuits = decompose(build_c(system, lam, order)).circuits
+                assert sorted(cycle_lengths) == sorted(len(c) for c in circuits), (
                     system.pattern(), order, lam)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -9,8 +10,7 @@ import numpy as np
 import pytest
 
 from binres import oracle
-from binres.coeff_matrix import build_c
-from binres.det_factor import SparseMatrix
+from binres.coeff_matrix import MatrixEntry, build_c
 from binres.errors import ValidationError
 from binres.frames import cyclic_orders
 from binres.linalg import frac_det, frac_rank
@@ -39,15 +39,34 @@ def ctx_with(values: dict, prime=DEFAULT_PRIME) -> ModularContext:
     return ModularContext(prime, 0, {k: v % prime for k, v in values.items()})
 
 
+@dataclass(frozen=True)
+class Square:
+    """A square symbolic matrix of any shape: the fields det_mod reads."""
+
+    n: int
+    nrows: int
+    entries: tuple[MatrixEntry, ...]
+    mode: str = "symbolic"
+
+    @property
+    def ncols(self) -> int:
+        return self.nrows
+
+    @classmethod
+    def from_triples(cls, n: int, size: int, triples) -> "Square":
+        """triples: (row, col, kind, index)."""
+        return cls(n, size, tuple(MatrixEntry(*t) for t in triples))
+
+
 def test_det_mod_diag_ones():
-    m = SparseMatrix.from_triples(3, 3, [(i, i, "a", i + 1) for i in range(3)])
+    m = Square.from_triples(3, 3, [(i, i, "a", i + 1) for i in range(3)])
     ctx = ctx_with({"a1": 1, "a2": 1, "a3": 1, "b1": 0, "b2": 0, "b3": 0})
     assert det_mod(m, ctx) == 1
 
 
 def test_det_mod_vanishes_on_cycle_degeneracy():
     # a3 a4 - b3 b4 = 0 at a = 1, b3 = b4 = 1
-    m = SparseMatrix.from_triples(4, 4, [
+    m = Square.from_triples(4, 4, [
         (0, 0, "a", 1), (0, 3, "b", 1),
         (1, 1, "a", 2), (1, 3, "b", 2),
         (2, 2, "a", 3), (2, 3, "b", 3),
@@ -56,6 +75,12 @@ def test_det_mod_vanishes_on_cycle_degeneracy():
     ctx = ctx_with({"a1": 1, "a2": 1, "a3": 1, "a4": 1,
                     "b1": 5, "b2": 9, "b3": 1, "b4": 1})
     assert det_mod(m, ctx) == 0
+
+
+def test_det_mod_zero_row_gives_zero():
+    ctx = ctx_with({"a1": 2, "a2": 3, "b1": 5, "b2": 7})
+    assert det_mod(Square(2, 2, ()), ctx) == 0
+    assert det_mod(Square.from_triples(2, 2, [(0, 0, "a", 1), (0, 1, "b", 1)]), ctx) == 0
 
 
 def test_det_mod_n2_lam3_hand_value():
