@@ -18,11 +18,18 @@ from binres.systems import cyclic_system, make_system
 from conftest import random_system
 
 
-def c2_with(triples):
-    """C(2) of a system in 4 variables (rows x_1^2 .. x_4^2, row r on f_{r+1})
+def c2_with(triples, n=4):
+    """C(2) of a system in n variables (rows x_1^2 .. x_n^2, row r on f_{r+1})
     holding the given (row, col, kind, index) entries instead of its own."""
-    m = build_c(cyclic_system(4, (2, 3)), 2)
+    m = build_c(cyclic_system(n, (1, 2)), 2)
     return dataclasses.replace(m, entries=tuple(MatrixEntry(*t) for t in triples))
+
+
+def c2_with_row_graph(succ):
+    """C(2) in len(succ) variables whose row graph is r -> succ[r] (None: no b)."""
+    triples = [(r, r, "a", r + 1) for r in range(len(succ))]
+    triples += [(r, c, "b", r + 1) for r, c in enumerate(succ) if c is not None]
+    return c2_with(triples, len(succ))
 
 
 def forced_and_cycle_matrix():
@@ -185,6 +192,63 @@ def test_sign_law_against_expansion():
                     assert factor_determinant(m).expand() == expansion, (pair, order, lam)
                     lengths.update(len(c) for c in decompose(m).circuits)
     assert {r % 2 for r in lengths} == {0, 1}
+
+
+def test_irreducible_p_case_sign_law(rng):
+    # one cycle through all N rows: det = a_1...a_N + (-1)^(N+1) b_1...b_N
+    for size in range(2, 11):
+        order = rng.sample(range(size), size)
+        succ = [None] * size
+        for i, r in enumerate(order):
+            succ[r] = order[(i + 1) % size]
+        m = c2_with_row_graph(succ)
+        fp = factor_determinant(m)
+        assert fp.expand() == brute_force_det(m)
+        (factor, mult), = fp.factors
+        assert mult == 1
+        assert not any(fp.monomial)
+        assert factor.sign == (-1) ** (size + 1)
+        assert factor.a_part == (1,) * size + (0,) * size
+        assert factor.b_part == (0,) * size + (1,) * size
+
+
+def random_forced_and_cycles(rng: random.Random, lengths: list[int], n_tree: int):
+    """C(2) whose row graph has one cycle per entry of `lengths` plus `n_tree`
+    rows off every cycle.
+
+    A cycle on logical rows s..s+k-1 sends s+j to s+(j+1) mod k; tree row t
+    sends to an earlier row, or nowhere, so it closes no cycle.  Logical rows
+    are then shuffled.
+    """
+    size = sum(lengths) + n_tree
+    row_of = rng.sample(range(size), size)
+    succ = [None] * size
+    start = 0
+    for k in lengths:
+        for j in range(k):
+            succ[row_of[start + j]] = row_of[start + (j + 1) % k]
+        start += k
+    for t in range(start, size):
+        if rng.random() < 0.8:
+            succ[row_of[t]] = row_of[rng.randrange(t)]
+    return c2_with_row_graph(succ)
+
+
+def test_signed_entries_with_forced_and_several_circuits(rng):
+    # every entry of C(lambda) carries sign +1, so a signed one is refused
+    for _ in range(60):
+        lengths = [rng.choice((2, 4)), 3] + rng.sample([2, 3], rng.randint(0, 1))
+        n_tree = rng.randint(1, 3)
+        m = random_forced_and_cycles(rng, lengths, n_tree)
+        dec = decompose(m)
+        assert len(dec.forced) == n_tree
+        assert sorted(len(c) for c in dec.circuits) == sorted(lengths)
+        assert factor_determinant(m).expand() == brute_force_det(m)
+        entries = list(m.entries)
+        k = rng.randrange(len(entries))
+        entries[k] = dataclasses.replace(entries[k], sign=-1)
+        with pytest.raises(ValidationError):
+            factor_determinant(dataclasses.replace(m, entries=tuple(entries)))
 
 
 def test_brute_force_agreement_small_random(rng):
