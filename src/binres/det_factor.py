@@ -19,10 +19,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .coeff_matrix import CoeffMatrix
-from .errors import ModeMismatchError, NonSquareMatrixError, ValidationError
+from .errors import InternalCheckError, ModeMismatchError, NonSquareMatrixError, ValidationError
 from .polynomials import Mono, ParamPoly, mono_str, param_names
 
 
@@ -62,12 +63,24 @@ def circuit_factor(n: int, gens: Sequence[int]) -> BinomialFactor:
     """prod a_j + (-1)^(r-1) prod b_j over a cycle of r = len(gens) nodes,
     gens holding each node's generator index.
 
-    The pure-a side is the lexicographically larger, so it leads.
+    The pure-a side is the lexicographically larger, so it leads.  With c_j
+    the count of generator j in the cycle, the factor is
+    prod a_j^c_j + s * prod b_j^c_j in distinct variables.  It is irreducible
+    over Q when gcd(c) = 1, since its exponent vector (c, -c) is then
+    primitive.  With gcd(c) >= 2 it can split, as A^2 - B^2 = (A - B)(A + B)
+    does, so such a cycle raises InternalCheckError.  Distinct circuit factors
+    are thus coprime, and a FactoredPoly is the unique factorization into the
+    a_j, the b_j and its circuit factors; `resultant.divides` and
+    `resultant.factored_gcd` rely on that when they compare atom by atom.
     """
     a_part, b_part = [0] * (2 * n), [0] * (2 * n)
     for j in gens:
         a_part[j - 1] += 1
         b_part[n + j - 1] += 1
+    g = gcd(*a_part)
+    if g != 1:
+        raise InternalCheckError(f"circuit over generators {list(gens)} has generator "
+                                 f"counts with gcd {g}; its factor may be reducible")
     return BinomialFactor(n, tuple(a_part), tuple(b_part), -1 if len(gens) % 2 == 0 else 1)
 
 
@@ -115,6 +128,17 @@ class FactoredPoly:
         if self.zero:
             return 0
         return sum(self.monomial) + sum(m * f.degree() for f, m in self.factors)
+
+    def pair_degrees(self) -> tuple[int, ...]:
+        """Degree in each generator's coefficient pair (a_i, b_i)."""
+        n = self.n
+        if self.zero:
+            return (0,) * n
+        degrees = [self.monomial[i] + self.monomial[n + i] for i in range(n)]
+        for f, m in self.factors:
+            for i in range(n):
+                degrees[i] += m * max(f.a_part[i] + f.a_part[n + i], f.b_part[i] + f.b_part[n + i])
+        return tuple(degrees)
 
     def expand(self) -> ParamPoly:
         """Multiply everything out (use on small factorizations only)."""

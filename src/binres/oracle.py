@@ -436,11 +436,11 @@ def run_selftest(seed: int = 0, n_max: int = 5) -> list[SelfTestRow]:
                  for lam in range(2, n + 1))
         rows.append(SelfTestRow(f"n={n} radical chain divisibility", ok))
 
-        res = resultant(system)
+        degrees = resultant(system).pair_degrees()
         rows.append(SelfTestRow(
             f"n={n} resultant degree law",
-            res.total_degree() == n * 2 ** (n - 1),
-            f"degree {res.total_degree()} vs {n * 2 ** (n - 1)}"))
+            degrees == (2 ** (n - 1),) * n,
+            f"degrees {list(degrees)} in the pairs (a_i, b_i) vs {2 ** (n - 1)} each"))
 
     # n=2 closed form against the Sylvester oracle
     from .systems import make_system

@@ -7,10 +7,16 @@ Delta_{n+1}^sigma taken over the n cyclic index orders; on canonical
 factorizations the GCD is the atom-wise multiset intersection together with
 the entry-wise minimum on the monomial part.  The result is normalized so the
 pure-a term has coefficient +1.
+
+That GCD, and `divides`, are exact because each factorization is unique:
+every circuit factor prod a_j^c_j + s * prod b_j^c_j has gcd(c) = 1, hence
+is irreducible over Q, and distinct ones are coprime.  `det_factor.circuit_factor`
+checks gcd(c) = 1 where each factor is built and raises InternalCheckError
+otherwise.  `resultant` also checks the result's degree 2^(n-1) in each
+pair (a_i, b_i).
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,9 +27,6 @@ from .polynomials import SYMBOLIC, normalize_assignment
 from .systems import BinomialSystem
 
 from dataclasses import dataclass
-
-_ORACLE_PRIME = (1 << 62) - 57  # shared with the verification oracle
-_DIVIDES_TRIALS = 40  # modular samples per missing atom in divides
 
 
 @dataclass(frozen=True)
@@ -91,81 +94,28 @@ def radical(f: FactoredPoly) -> FactoredPoly:
     return FactoredPoly(f.n, 1, mono, factors)
 
 
-def _solvable_parameter(factor: BinomialFactor):
-    """A position with exponent 1 in either part, for variety sampling."""
-    for part in (factor.a_part, factor.b_part):
-        for pos, e in enumerate(part):
-            if e == 1:
-                return pos, part
-    return None
-
-
-def sample_on_factor_variety(f: FactoredPoly, factor: BinomialFactor,
-                             rng: random.Random) -> tuple[list[int], list[int]]:
-    """Random point mod _ORACLE_PRIME where the given factor (hence f) vanishes.
-
-    Solves for a parameter occurring with exponent 1; all other parameters
-    are sampled nonzero.
-    """
-    n, p = f.n, _ORACLE_PRIME
-    slot = _solvable_parameter(factor)
-    if slot is None:
-        raise ValidationError("no exponent-1 parameter to solve for in factor")
-    pos, part = slot
-    other = factor.b_part if part is factor.a_part else factor.a_part
-    for _ in range(64):
-        avals = [rng.randrange(1, p) for _ in range(n)]
-        bvals = [rng.randrange(1, p) for _ in range(n)]
-        vals = avals + bvals
-
-        def eval_part(mono, skip=None):
-            v = 1
-            for q, e in enumerate(mono):
-                if q == skip or not e:
-                    continue
-                v = v * pow(vals[q], e, p) % p
-            return v
-
-        # rest*x + s*other == 0 (or other + s*rest*x == 0); 1/s == s for s = +-1,
-        # so both solve to x = -s * other / rest.
-        rest = eval_part(part, skip=pos)
-        if rest % p == 0:
-            continue
-        x = (-factor.sign * eval_part(other)) * pow(rest, -1, p) % p
-        if x == 0:
-            continue
-        vals[pos] = x
-        return vals[:n], vals[n:]
-    raise DegenerateSystemError("could not sample a point on the factor variety")
-
-
 def divides(f: FactoredPoly, g: FactoredPoly) -> bool:
-    """Whether f divides g, by atom-wise multiplicity comparison.
+    """Whether f divides g, by comparing the monomial part exponent-wise and
+    the circuit factors' multiplicities.
 
-    On an atom mismatch, falls back to modular evaluation on the missing
-    atom's variety; only failures are certain there.
+    Exact because every circuit factor is irreducible and distinct ones are
+    coprime, which `det_factor.circuit_factor` checks where it builds them.
     """
     if g.is_zero():
         return True
     if f.is_zero():
         return False
-    if any(ef > eg for ef, eg in zip(f.monomial, g.monomial)):
-        return False
     gfac = g.factor_multiplicities()
-    missing = [(fac, mult) for fac, mult in f.factors if gfac.get(fac, 0) < mult]
-    if not missing:
-        return True
-    rng = random.Random(0)
-    for fac, _ in missing:
-        for _ in range(_DIVIDES_TRIALS):
-            avals, bvals = sample_on_factor_variety(f, fac, rng)
-            if g.eval_mod(avals, bvals, _ORACLE_PRIME) != 0:
-                return False
-    return True
+    return (all(ef <= eg for ef, eg in zip(f.monomial, g.monomial))
+            and all(gfac.get(fac, 0) >= mult for fac, mult in f.factors))
 
 
 def factored_gcd(polys: list[FactoredPoly]) -> FactoredPoly:
-    """Atom-wise GCD of canonical factorizations, sign normalized to +1."""
+    """Atom-wise GCD of canonical factorizations, sign normalized to +1.
+
+    Exact for the same reason as `divides`: the factorizations are unique
+    because `det_factor.circuit_factor` refuses a possibly reducible factor.
+    """
     if not polys:
         raise ValidationError("gcd of nothing")
     nonzero = [f for f in polys if not f.is_zero()]  # gcd(0, g) = g
@@ -181,16 +131,25 @@ def factored_gcd(polys: list[FactoredPoly]) -> FactoredPoly:
 
 
 def resultant(system: BinomialSystem) -> FactoredPoly:
-    """GCD of Delta_{n+1} over the n cyclic index orders, pure-a term +1."""
+    """GCD of Delta_{n+1} over the n cyclic index orders, pure-a term +1.
+
+    The result is checked to have degree 2^(n-1) in each generator's
+    coefficient pair (a_i, b_i), as the resultant of n quadrics must.
+    """
     _require_symbolic(system)
-    lam = system.n + 1
+    n = system.n
+    lam = n + 1
     deltas = []
-    for o in cyclic_orders(system.n):
+    for o in cyclic_orders(n):
         d = delta(system, lam, o)
         if d.is_zero():
             raise DegenerateSystemError(f"Delta_{lam} vanishes for order {o}")
         deltas.append(d)
-    return factored_gcd(deltas)
+    res = factored_gcd(deltas)
+    if res.pair_degrees() != (2 ** (n - 1),) * n:
+        raise InternalCheckError(f"resultant has degrees {res.pair_degrees()} in the pairs "
+                                 f"(a_i, b_i), not {2 ** (n - 1)} each")
+    return res
 
 
 @lru_cache(maxsize=256)

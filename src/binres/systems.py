@@ -418,6 +418,8 @@ def parse(text: str):
             raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
         except ValueError as exc:
             raise _json_too_long(text, exc) from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply") from None
         if "quadratic_space" in doc:
             from .normal_form import QuadraticSpace
 

@@ -7,8 +7,13 @@ import random
 import pytest
 
 from binres.coeff_matrix import MatrixEntry, build_c, build_cprime
-from binres.det_factor import FactoredPoly, decompose, factor_determinant
-from binres.errors import ModeMismatchError, NonSquareMatrixError, ValidationError
+from binres.det_factor import FactoredPoly, circuit_factor, decompose, factor_determinant
+from binres.errors import (
+    InternalCheckError,
+    ModeMismatchError,
+    NonSquareMatrixError,
+    ValidationError,
+)
 from binres.frames import cyclic_orders, node_count
 from binres.oracle import ModularContext, det_mod
 from binres.polynomials import ParamPoly
@@ -295,6 +300,13 @@ def test_repeated_index_circuits_match_walk():
     fp = factor_determinant(build_c(system, 6))
     assert any(any(e > 1 for e in f.a_part) for f, _ in fp.factors)
     assert fp == delta(system, 6)
+
+
+def test_circuit_factor_refuses_a_possibly_reducible_factor():
+    # counts c = (2, 2, 0): a1^2 a2^2 - b1^2 b2^2 = (a1 a2 - b1 b2)(a1 a2 + b1 b2)
+    with pytest.raises(InternalCheckError, match="gcd 2"):
+        circuit_factor(3, [1, 1, 2, 2])
+    assert circuit_factor(3, [1, 1, 2]).a_part == (2, 1, 0, 0, 0, 0)
 
 
 def test_factored_poly_specialize_matches_expand(rng):

@@ -91,3 +91,15 @@ def test_parse_and_resultant_raise_only_binres_errors(tmp_path_factory, text):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["resultant", str(path)])
     assert code in (0, 1, 2), err.getvalue()
+
+
+def test_deeply_nested_json_exits_one(tmp_path):
+    # json.loads raises RecursionError long before the nesting ends
+    path = tmp_path / "nested.json"
+    path.write_text('{"forms": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["resultant", str(path)])
+    assert code == 1
+    assert err.getvalue().startswith("binres: error: invalid JSON")
+    assert "Traceback" not in err.getvalue()

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from binres.det_factor import BinomialFactor, FactoredPoly
-from binres.errors import ValidationError
+from binres.errors import InternalCheckError, ValidationError
 from binres.frames import cyclic_orders
 from binres.oracle import sylvester_resultant_2
 from binres.polynomials import ParamPoly
@@ -82,7 +83,7 @@ def test_divides_basics():
     f_minus = FactoredPoly(n, 1, (0,) * 4, {minus: 1})
     f_plus = FactoredPoly(n, 1, (0,) * 4, {plus: 1})
     assert divides(amon, FactoredPoly(n, 1, (2, 1, 0, 0), {minus: 3}))
-    assert not divides(f_minus, f_plus)  # modular fallback certifies failure
+    assert not divides(f_minus, f_plus)  # distinct irreducible factors are coprime
     assert divides(f_minus, f_minus)
 
 
@@ -115,6 +116,25 @@ def test_resultant_table_row_x2x3():
     assert res.sign == 1
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cyclic23_resultant_jacobsthal_closed_form(n):
+    # (prod a)^J(n-1) * (prod a + (-1)^(n-1) prod b)^J(n), J the Jacobsthal numbers
+    def jacobsthal(k):
+        return (2 ** k - (-1) ** k) // 3
+
+    loop = BinomialFactor(n, (1,) * n + (0,) * n, (0,) * n + (1,) * n, (-1) ** (n - 1))
+    expected = FactoredPoly(n, 1, (jacobsthal(n - 1),) * n + (0,) * n, {loop: jacobsthal(n)})
+    assert resultant(cyclic_system(n, (2, 3))) == expected
+
+
+def test_resultant_refuses_a_broken_pair_degree_law(monkeypatch):
+    # a GCD that keeps too much breaks deg_(a_i, b_i) = 2^(n-1)
+    module = importlib.import_module("binres.resultant")  # the package re-exports a function of that name
+    monkeypatch.setattr(module, "factored_gcd", lambda polys: polys[0])
+    with pytest.raises(InternalCheckError, match="pairs"):
+        resultant(cyclic_system(3, (2, 3)))
+
+
 def test_resultant_random_cofactor_example():
     system = make_system(5, [(2, 3), (3, 5), (4, 5), (1, 3), (1, 2)], alias="p")
     res = resultant(system)
@@ -141,6 +161,7 @@ def test_resultant_properties(rng):
         system = random_system(n, rng)
         res = resultant(system)
         assert res.total_degree() == n * 2 ** (n - 1)
+        assert res.pair_degrees() == (2 ** (n - 1),) * n
         chain = delta_chain(system)
         assert divides(res, chain.delta(n + 1))
         assert radical(res) == radical(chain.delta(n + 1))
