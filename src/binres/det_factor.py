@@ -36,7 +36,16 @@ class BinomialFactor:
     """Circuit factor a_part + sign * b_part over parameter monomials.
 
     Canonical form keeps the lexicographically larger monomial first (for
-    circuits of a binomial system that is the pure-a side).
+    circuits of a binomial system that is the pure-a side).  Every factor is
+    also irreducible over Q: x^u + s * x^v with u, v of disjoint support is
+    irreducible when the entries of u - v have gcd 1, as u - v is then
+    primitive; with gcd >= 2 it can split, as A^2 - B^2 = (A - B)(A + B)
+    does.  A factor that is not canonical, whose monomials share a variable
+    or whose exponents have a gcd other than 1 raises InternalCheckError
+    when it is built.  Distinct factors are thus coprime, and a
+    FactoredPoly is the unique factorization into the a_j, the b_j and its
+    factors; `resultant.divides` and `resultant.factored_gcd` rely on that
+    when they compare atom by atom.
     """
 
     n: int
@@ -44,12 +53,22 @@ class BinomialFactor:
     b_part: Mono
     sign: int
 
+    def __post_init__(self):
+        if any(x and y for x, y in zip(self.a_part, self.b_part)):
+            raise InternalCheckError(f"factor {self} has a monomial factor")
+        if self.a_part <= self.b_part:
+            raise InternalCheckError(f"factor {self} is not canonical: its first "
+                                     f"monomial must be the lexicographically larger")
+        g = gcd(*self.a_part, *self.b_part)
+        if g != 1:
+            raise InternalCheckError(f"factor {self} has exponents with gcd {g}; "
+                                     f"it may be reducible")
+
     def degree(self) -> int:
         return max(sum(self.a_part), sum(self.b_part))
 
     def as_parampoly(self) -> ParamPoly:
-        # two ParamPolys: a_part == b_part must add up, not overwrite
-        return ParamPoly(self.n, {self.a_part: 1}) + ParamPoly(self.n, {self.b_part: self.sign})
+        return ParamPoly(self.n, {self.a_part: 1, self.b_part: self.sign})
 
     def to_text(self, alias: str = "b") -> str:
         names = param_names(self.n, alias)
@@ -65,22 +84,14 @@ def circuit_factor(n: int, gens: Sequence[int]) -> BinomialFactor:
 
     The pure-a side is the lexicographically larger, so it leads.  With c_j
     the count of generator j in the cycle, the factor is
-    prod a_j^c_j + s * prod b_j^c_j in distinct variables.  It is irreducible
-    over Q when gcd(c) = 1, since its exponent vector (c, -c) is then
-    primitive.  With gcd(c) >= 2 it can split, as A^2 - B^2 = (A - B)(A + B)
-    does, so such a cycle raises InternalCheckError.  Distinct circuit factors
-    are thus coprime, and a FactoredPoly is the unique factorization into the
-    a_j, the b_j and its circuit factors; `resultant.divides` and
-    `resultant.factored_gcd` rely on that when they compare atom by atom.
+    prod a_j^c_j + s * prod b_j^c_j, and BinomialFactor raises
+    InternalCheckError unless gcd(c) = 1, the condition for it to be
+    irreducible.
     """
     a_part, b_part = [0] * (2 * n), [0] * (2 * n)
     for j in gens:
         a_part[j - 1] += 1
         b_part[n + j - 1] += 1
-    g = gcd(*a_part)
-    if g != 1:
-        raise InternalCheckError(f"circuit over generators {list(gens)} has generator "
-                                 f"counts with gcd {g}; its factor may be reducible")
     return BinomialFactor(n, tuple(a_part), tuple(b_part), -1 if len(gens) % 2 == 0 else 1)
 
 

@@ -10,10 +10,10 @@ pure-a term has coefficient +1.
 
 That GCD, and `divides`, are exact because each factorization is unique:
 every circuit factor prod a_j^c_j + s * prod b_j^c_j has gcd(c) = 1, hence
-is irreducible over Q, and distinct ones are coprime.  `det_factor.circuit_factor`
-checks gcd(c) = 1 where each factor is built and raises InternalCheckError
-otherwise.  `resultant` also checks the result's degree 2^(n-1) in each
-pair (a_i, b_i).
+is irreducible over Q, and distinct ones are coprime.
+`det_factor.BinomialFactor` checks this wherever a factor is built, by
+`circuit_factor` or directly, and raises InternalCheckError otherwise.
+`resultant` also checks the result's degree 2^(n-1) in each pair (a_i, b_i).
 """
 from __future__ import annotations
 
@@ -99,7 +99,7 @@ def divides(f: FactoredPoly, g: FactoredPoly) -> bool:
     the circuit factors' multiplicities.
 
     Exact because every circuit factor is irreducible and distinct ones are
-    coprime, which `det_factor.circuit_factor` checks where it builds them.
+    coprime, which `det_factor.BinomialFactor` checks whenever one is built.
     """
     if g.is_zero():
         return True
@@ -114,7 +114,7 @@ def factored_gcd(polys: list[FactoredPoly]) -> FactoredPoly:
     """Atom-wise GCD of canonical factorizations, sign normalized to +1.
 
     Exact for the same reason as `divides`: the factorizations are unique
-    because `det_factor.circuit_factor` refuses a possibly reducible factor.
+    because `det_factor.BinomialFactor` refuses a possibly reducible factor.
     """
     if not polys:
         raise ValidationError("gcd of nothing")

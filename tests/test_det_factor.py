@@ -7,7 +7,13 @@ import random
 import pytest
 
 from binres.coeff_matrix import MatrixEntry, build_c, build_cprime
-from binres.det_factor import FactoredPoly, circuit_factor, decompose, factor_determinant
+from binres.det_factor import (
+    BinomialFactor,
+    FactoredPoly,
+    circuit_factor,
+    decompose,
+    factor_determinant,
+)
 from binres.errors import (
     InternalCheckError,
     ModeMismatchError,
@@ -307,6 +313,18 @@ def test_circuit_factor_refuses_a_possibly_reducible_factor():
     with pytest.raises(InternalCheckError, match="gcd 2"):
         circuit_factor(3, [1, 1, 2, 2])
     assert circuit_factor(3, [1, 1, 2]).a_part == (2, 1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("a_part, b_part, message", [
+    ((2, 2, 0, 0), (0, 0, 2, 2), "gcd 2"),  # a1^2 a2^2 - b1^2 b2^2 splits
+    ((1, 1, 0, 0), (1, 0, 0, 1), "monomial factor"),  # a1 (a2 - b2)
+    ((0, 0, 1, 1), (1, 1, 0, 0), "not canonical"),  # b1 b2 - a1 a2, an associate
+])
+def test_directly_built_factor_must_be_canonical_and_irreducible(a_part, b_part, message):
+    # divides and factored_gcd compare atoms, so every factor they see must be unique
+    with pytest.raises(InternalCheckError, match=message):
+        BinomialFactor(2, a_part, b_part, -1)
+    BinomialFactor(2, (1, 1, 0, 0), (0, 0, 1, 1), -1)
 
 
 def test_factored_poly_specialize_matches_expand(rng):

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,9 @@ from binres.resultant import resultant_eval
 from binres.systems import cyclic_system, make_system
 
 from conftest import random_specialization, random_system
+
+# the module itself: the package re-exports a function of that name
+resultant_module = importlib.import_module("binres.resultant")
 
 
 def ctx_with(values: dict, prime=DEFAULT_PRIME) -> ModularContext:
@@ -181,6 +186,16 @@ def test_quotient_dim_equivalence_with_resultant(rng):
 def test_selftest_green():
     rows = run_selftest(seed=13, n_max=4)
     assert rows and all(r.passed for r in rows)
+
+
+def test_selftest_reports_a_broken_degree_law(monkeypatch):
+    # the row takes the GCD itself, so a broken law is a FAIL row, not an exception
+    gcd = resultant_module.factored_gcd
+    monkeypatch.setattr(resultant_module, "factored_gcd",
+                        lambda polys: polys[0] if polys[0].n == 4 else gcd(polys))
+    rows = {r.name: r for r in run_selftest(seed=13, n_max=4)}
+    assert not rows["n=4 resultant degree law"].passed
+    assert rows["n=3 resultant degree law"].passed
 
 
 # -- the oracle's own paths against exact rational arithmetic ---------------
