@@ -6,6 +6,12 @@ InternalCheckError indicates a violated internal invariant (exit code 2).
 from __future__ import annotations
 
 
+def clip(text: str, limit: int = 40) -> str:
+    """text, or its first limit characters and its length when it is longer,
+    so that an error message never echoes a huge input value whole."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 class BinresError(Exception):
     """Base class for all library errors."""
 

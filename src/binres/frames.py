@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError, clip
 from .polynomials import Mono, monomials
 
 
@@ -49,10 +49,10 @@ def check_order(n: int, order) -> tuple[int, ...]:
     # JSON true/false load as bool, which is an int subclass
     if not isinstance(order, (list, tuple)) or not all(
             isinstance(i, int) and not isinstance(i, bool) for i in order):
-        raise ValidationError(f"an order must be a list of integers, got {order!r}")
+        raise ValidationError(f"an order must be a list of integers, got {clip(repr(order))}")
     order = tuple(order)
     if sorted(order) != list(range(1, n + 1)):
-        raise ValidationError(f"{order} is not a permutation of 1..{n}")
+        raise ValidationError(f"{clip(str(order))} is not a permutation of 1..{n}")
     return order
 
 

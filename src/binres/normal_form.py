@@ -86,8 +86,7 @@ def _substitute_linear(f: XPoly, mat) -> XPoly:
     def unit(j: int) -> Mono:
         return tuple(int(t == j) for t in range(n))
 
-    images = [XPoly(n, RATIONAL, {unit(j): mat[i][j] for j in range(n) if mat[i][j] != 0})
-              for i in range(n)]
+    images = [XPoly(n, RATIONAL, {unit(j): mat[i][j] for j in range(n)}) for i in range(n)]
     out = XPoly(n, RATIONAL)
     for m, c in f.terms.items():
         term = XPoly(n, RATIONAL, {(0,) * n: Fraction(c)})

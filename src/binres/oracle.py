@@ -29,7 +29,7 @@ from math import comb, lcm
 import numpy as np
 
 from .coeff_matrix import build_c
-from .errors import ValidationError
+from .errors import ModeMismatchError, ValidationError
 from .linalg import frac_rank
 from .polynomials import RATIONAL, XPoly, mono_mul, monomials
 from .systems import BinomialSystem
@@ -301,6 +301,9 @@ def membership_batch(system: BinomialSystem, lam: int, polys: list[XPoly]) -> li
     index = {m: k for k, m in enumerate(basis)}
     vectors = []
     for f in polys:
+        if f.n != system.n:
+            raise ModeMismatchError(f"membership needs polynomials in {system.n} variables, "
+                                    f"got {f.n}")
         if f.mode != RATIONAL or (not f.is_zero() and (not f.is_homogeneous() or f.degree() != lam)):
             raise ValidationError(f"membership needs homogeneous degree-{lam} rational input")
         vectors.append(_poly_vector(f, index))

@@ -1,12 +1,17 @@
-"""Exact sparse polynomial arithmetic for coefficient parameters and x-variables.
+"""Exact sparse polynomials in the coefficient parameters and in the x-variables.
 
-Two polynomial flavours are used throughout the library:
+One sparse core holds a polynomial as a dict from exponent tuples to nonzero
+coefficients, and implements the zero filter, arithmetic, equality, hashing
+and term printing once for both rings of the method.  A coefficient is zero
+iff it is falsy, which holds for int, Fraction and ParamPoly alike.
 
   ParamPoly — integer-coefficient polynomial in the 2n coefficient parameters
-              a_1..a_n, b_1..b_n.  A parameter monomial is a single tuple of
-              2n exponents (a-exponents first, then b-exponents).
-  XPoly     — polynomial in x_1..x_n whose coefficients are either ParamPoly
-              (symbolic mode) or Fraction (rational mode).
+              a_1..a_n, b_1..b_n, where the resultant and every Delta_lambda
+              live.  A parameter monomial is a single tuple of 2n exponents
+              (a-exponents first, then b-exponents).
+  XPoly     — polynomial in x_1..x_n, where the square-free basis rewriting
+              lives, with coefficients in ParamPoly (symbolic mode) or in
+              Fraction (rational mode).
 
 x-monomials are plain exponent tuples of length n; the degree is their sum and
 a monomial is square-free iff every exponent is <= 1.  The canonical term
@@ -53,10 +58,6 @@ def mono_mul(m1: Mono, m2: Mono) -> Mono:
     return tuple(a + b for a, b in zip(m1, m2))
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(m)
-
-
 def is_squarefree(m: Mono) -> bool:
     return all(e <= 1 for e in m)
 
@@ -100,28 +101,114 @@ def normalize_assignment(assignment: Mapping[str, object]) -> dict[str, Fraction
 
 
 # --------------------------------------------------------------------------
-# ParamPoly
+# the shared sparse core
 # --------------------------------------------------------------------------
 
-class ParamPoly:
-    """Sparse integer-coefficient polynomial in a_1..a_n, b_1..b_n.
-
-    Terms map a 2n-exponent tuple to a nonzero int.  Instances are treated as
-    immutable; all operations return fresh objects.
-    """
+class _SparsePoly:
+    """Terms map exponent tuples to nonzero coefficients.  Instances are
+    treated as immutable; every operation returns a fresh polynomial of the
+    same ring (`_ring`: n, and for XPoly the mode)."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: "Mapping[Mono, int] | None" = None):
+    def __init__(self, n: int, terms: "Mapping[Mono, object] | None" = None):
         self.n = n
-        self.terms: dict[Mono, int] = {
-            m: c for m, c in (terms or {}).items() if c != 0
-        }
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    def _ring(self) -> tuple:
+        return (self.n,)
+
+    def _with(self, terms: Mapping):
+        """A polynomial of this one's ring with the given terms."""
+        return type(self)(*self._ring(), terms)
+
+    def _check(self, other: "_SparsePoly") -> None:
+        if self.n != other.n:
+            raise ModeMismatchError(f"{type(self).__name__} variable counts differ")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out[m] + c if m in out else c
+        return self._with(out)
+
+    def __neg__(self):
+        return self._with({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = mono_mul(m1, m2)
+                prod = c1 * c2
+                out[m] = out[m] + prod if m in out else prod
+        return self._with(out)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, type(self)) and self._ring() == other._ring()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        # monomials are distinct, so sorting never compares coefficients
+        return hash((self._ring(), tuple(sorted(self.terms.items()))))
+
+    def _names(self) -> "list[str] | None":
+        return None
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        names = self._names()
+        parts = []
+        for m in sorted(self.terms, reverse=True):
+            c = self.terms[m]
+            body = mono_str(m, names)
+            cs = str(c)
+            # a symbolic coefficient is bracketed when it is a sum, and it
+            # keeps its '*1' on the constant monomial ("a1*1")
+            symbolic = isinstance(c, ParamPoly)
+            if symbolic and len(c.terms) > 1:
+                cs = f"({cs})"
+            if body == "1" and not symbolic:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(body)
+            elif cs == "-1":
+                parts.append("-" + body)
+            else:
+                parts.append(f"{cs}*{body}")
+        return " + ".join(parts)
+
+    __repr__ = __str__
+
+
+# --------------------------------------------------------------------------
+# ParamPoly
+# --------------------------------------------------------------------------
+
+class ParamPoly(_SparsePoly):
+    """Sparse polynomial in a_1..a_n, b_1..b_n; terms map 2n exponents to an int."""
+
+    __slots__ = ()
+
+    def _names(self) -> list[str]:
+        return param_names(self.n)
 
     # -- constructors
     @classmethod
     def const(cls, n: int, value: int) -> "ParamPoly":
-        return cls(n, {(0,) * (2 * n): int(value)} if value else {})
+        return cls(n, {(0,) * (2 * n): int(value)})
 
     @classmethod
     def param(cls, kind: str, index: int, n: int) -> "ParamPoly":
@@ -133,9 +220,6 @@ class ParamPoly:
         return cls(n, {tuple(exps): 1})
 
     # -- predicates
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_value(self) -> "int | None":
         """The int value if this polynomial is constant, else None."""
         if not self.terms:
@@ -149,46 +233,13 @@ class ParamPoly:
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    # -- arithmetic
-    def _check(self, other: "ParamPoly") -> None:
-        if self.n != other.n:
-            raise ModeMismatchError("ParamPoly variable counts differ")
-
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return ParamPoly(self.n, out)
-
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        return self + (-other)
-
+    # -- arithmetic: the ring product, plus int scalars
     def __mul__(self, other: "ParamPoly | int") -> "ParamPoly":
         if isinstance(other, int):
             return ParamPoly(self.n, {m: c * other for m, c in self.terms.items()})
-        self._check(other)
-        out: dict[Mono, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return ParamPoly(self.n, out)
+        return _SparsePoly.__mul__(self, other)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ParamPoly)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
 
     # -- evaluation
     def specialize(self, assignment: Mapping[str, Fraction]) -> Fraction:
@@ -220,27 +271,6 @@ class ParamPoly:
             total = (total + term) % p
         return total
 
-    # -- serialization
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = param_names(self.n)
-        parts = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
-            body = mono_str(m, names)
-            if body == "1":
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
 
 Coefficient = Union[ParamPoly, Fraction]
 
@@ -249,25 +279,28 @@ Coefficient = Union[ParamPoly, Fraction]
 # XPoly
 # --------------------------------------------------------------------------
 
-class XPoly:
+class XPoly(_SparsePoly):
     """Sparse polynomial in x_1..x_n.
 
-    mode is "symbolic" (ParamPoly coefficients) or "rational" (Fraction).
-    Zero coefficients are never stored; operations are exact and pure.
+    mode is "symbolic" (ParamPoly coefficients) or "rational" (Fraction), and
+    it is part of equality: the symbolic and rational zeros differ.
     """
 
-    __slots__ = ("n", "mode", "terms")
+    __slots__ = ("mode",)
 
     def __init__(self, n: int, mode: str, terms: "Mapping[Mono, Coefficient] | None" = None):
         if mode not in (SYMBOLIC, RATIONAL):
             raise ValidationError(f"unknown mode {mode!r}")
-        self.n = n
         self.mode = mode
-        self.terms: dict[Mono, Coefficient] = {}
-        for m, c in (terms or {}).items():
-            if (isinstance(c, ParamPoly) and c.is_zero()) or c == 0:
-                continue
-            self.terms[m] = c
+        _SparsePoly.__init__(self, n, terms)
+
+    def _ring(self) -> tuple:
+        return (self.n, self.mode)
+
+    def _check(self, other: "XPoly") -> None:
+        _SparsePoly._check(self, other)
+        if self.mode != other.mode:
+            raise ModeMismatchError(f"mode mismatch: {self.mode} vs {other.mode}")
 
     # -- constructors
     @classmethod
@@ -288,84 +321,27 @@ class XPoly:
         return cls.monomial(n, mono_from_indices(n, [index]), 1, mode)
 
     # -- structure queries
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
+        return max((sum(m) for m in self.terms), default=0)
 
     def is_homogeneous(self) -> bool:
-        degs = {mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
+        return len({sum(m) for m in self.terms}) <= 1
 
     def coefficient(self, m: Mono) -> Coefficient:
         if m in self.terms:
             return self.terms[m]
         return ParamPoly.const(self.n, 0) if self.mode == SYMBOLIC else Fraction(0)
 
-    def _check(self, other: "XPoly") -> None:
-        if self.n != other.n:
-            raise ModeMismatchError("XPoly variable counts differ")
-        if self.mode != other.mode:
-            raise ModeMismatchError(f"mode mismatch: {self.mode} vs {other.mode}")
-
-    # -- arithmetic
-    def __add__(self, other: "XPoly") -> "XPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                out[m] = out[m] + c  # type: ignore[operator]
-            else:
-                out[m] = c
-        return XPoly(self.n, self.mode, out)
-
-    def __neg__(self) -> "XPoly":
-        return XPoly(self.n, self.mode, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "XPoly") -> "XPoly":
-        self._check(other)
-        out: dict[Mono, Coefficient] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                prod = c1 * c2  # type: ignore[operator]
-                if m in out:
-                    out[m] = out[m] + prod  # type: ignore[operator]
-                else:
-                    out[m] = prod
-        return XPoly(self.n, self.mode, out)
-
     def scale(self, c: "Coefficient | int") -> "XPoly":
-        if c == 0:
-            return XPoly(self.n, self.mode)
         return XPoly(self.n, self.mode, {m: v * c for m, v in self.terms.items()})  # type: ignore[operator]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, XPoly)
-            and self.n == other.n
-            and self.mode == other.mode
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.mode, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     # -- evaluation
     def specialize(self, assignment: Mapping[str, Fraction]) -> "XPoly":
         """Substitute rationals for every parameter; result is rational mode."""
         if self.mode == RATIONAL:
             return self
-        out: dict[Mono, Fraction] = {}
-        for m, c in self.terms.items():
-            val = c.specialize(assignment)  # type: ignore[union-attr]
-            if val:
-                out[m] = val
-        return XPoly(self.n, RATIONAL, out)
+        return XPoly(self.n, RATIONAL, {m: c.specialize(assignment)  # type: ignore[union-attr]
+                                         for m, c in self.terms.items()})
 
     def eval_at(self, point: list[Fraction]) -> Fraction:
         """Evaluate a rational-mode polynomial at a rational point."""
@@ -380,32 +356,6 @@ class XPoly:
             total += term
         return total
 
-    # -- serialization
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
-            body = mono_str(m)
-            if isinstance(c, ParamPoly):
-                cs = str(c)
-                if len(c.terms) > 1:
-                    cs = f"({cs})"
-                parts.append(body if cs == "1" else ("-" + body if cs == "-1" else f"{cs}*{body}"))
-            else:
-                if body == "1":
-                    parts.append(str(c))
-                elif c == 1:
-                    parts.append(body)
-                elif c == -1:
-                    parts.append("-" + body)
-                else:
-                    parts.append(f"{c}*{body}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
 
 # --------------------------------------------------------------------------
 # module-level operation names from the library contract
@@ -418,7 +368,4 @@ def poly_mul(p: XPoly, q: XPoly) -> XPoly:
 
 def specialize(obj: "XPoly | ParamPoly", assignment: Mapping[str, Fraction]):
     """Evaluate parameters to rationals: XPoly -> XPoly, ParamPoly -> Fraction."""
-    assignment = normalize_assignment(assignment)
-    if isinstance(obj, ParamPoly):
-        return obj.specialize(assignment)
-    return obj.specialize(assignment)
+    return obj.specialize(normalize_assignment(assignment))

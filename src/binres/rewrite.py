@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 
-from .errors import DegreeRangeError, SingularCoeffMatrixError, ValidationError
+from .errors import DegreeRangeError, ModeMismatchError, SingularCoeffMatrixError, ValidationError
 from .frames import successor_walks
 from .polynomials import RATIONAL, Mono, XPoly, is_squarefree
 from .resultant import delta_chain
@@ -86,6 +86,8 @@ def reduce(system: BinomialSystem, f: XPoly) -> XPoly:
     """
     if f.mode != RATIONAL:
         raise ValidationError("reduce needs rational-mode input")
+    if f.n != system.n:
+        raise ModeMismatchError(f"reduce needs a polynomial in {system.n} variables, got {f.n}")
     if f.is_zero():
         return f
     if not f.is_homogeneous():

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, clip
 from .frames import check_order, identity_order
 from .polynomials import (
     RATIONAL,
@@ -181,8 +181,7 @@ _TOKEN = re.compile(r"(?P<num>-?\d+(?:/\d+)?)|(?P<name>[abpxfg])(?P<index>\d+)"
 
 def _too_long(token: str, line: int, column: int) -> ParseError:
     """Python refuses int strings past its digit limit (4,300 by default)."""
-    return ParseError(f"integer too long in {token[:12]}... ({len(token)} characters)",
-                      line, column)
+    return ParseError(f"integer too long in {clip(token, 12)}", line, column)
 
 
 def _tokenize(line: str, line_no: int):
@@ -348,7 +347,7 @@ def _field(obj, key: str, where: str):
 def _json_int(value, what: str) -> int:
     # JSON true/false load as bool, which is an int subclass
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValidationError(f"{what} must be a positive integer, got {value!r}")
+        raise ValidationError(f"{what} must be a positive integer, got {clip(repr(value))}")
     return value
 
 
@@ -356,12 +355,12 @@ def _json_rational(value, what: str) -> Fraction:
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{what} must be a rational, got {value!r}") from None
+        raise ValidationError(f"{what} must be a rational, got {clip(repr(value))}") from None
 
 
 def _system_from_json(doc: dict) -> "BinomialSystem":
     if doc.get("schema") != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema {doc.get('schema')!r}")
+        raise ValidationError(f"unsupported schema {clip(repr(doc.get('schema')))}")
     n = _json_int(_field(doc, "n", "system"), "n")
     forms = _field(doc, "forms", "system")
     if not isinstance(forms, list) or len(forms) != n:
@@ -445,10 +444,11 @@ def parse_assignment(spec: str) -> dict[str, Fraction]:
         if not chunk:
             continue
         if "=" not in chunk:
-            raise ValidationError(f"bad assignment chunk {chunk!r}")
+            raise ValidationError(f"bad assignment chunk {clip(repr(chunk))}")
         name, _, value = chunk.partition("=")
         try:
             out[name.strip()] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"bad rational {value!r} for {name.strip()!r}") from None
+            raise ValidationError(f"bad rational {clip(repr(value))} "
+                                  f"for {clip(repr(name.strip()))}") from None
     return normalize_assignment(out)

@@ -3,12 +3,14 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from binres.cli import build_parser, main
+from binres.cli import build_parser, main, run
 from binres.errors import ParseError, ValidationError
 from binres.normal_form import QuadraticSpace
 from binres.systems import (
@@ -193,6 +195,62 @@ def test_malformed_json_exits_one(tmp_path, doc):
     code, out, err = run_cli("resultant", str(bad))
     assert code == 1
     assert err.startswith("binres: error:")
+
+
+_LONG = "7" * 5000
+_NESTED: list = []
+for _ in range(600):  # deep, yet within the JSON decoder's recursion limit
+    _NESTED = [_NESTED]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"schema": 1, "n": 2, "forms": _FORMS, "order": _NESTED}, "an order"),
+    ({"schema": 1, "n": 2, "forms": _FORMS, "order": list(range(2, 1000))}, "permutation"),
+    ({"schema": 1, "n": _LONG, "forms": _FORMS}, "n must"),
+    ({"schema": 1, "n": 2, "forms": [dict(_VALUED[0], a=_LONG + "x"), _VALUED[1]]},
+     "a of form 1"),
+    ({"schema": _LONG, "n": 2, "forms": _FORMS}, "schema"),
+], ids=["order-nested", "order-long", "n-long-string", "a-long-string", "schema-long-string"])
+def test_malformed_value_is_quoted_short(tmp_path, doc, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli("resultant", str(bad))
+    assert code == 1
+    assert err.startswith("binres: error:") and field in err
+    assert len(err.encode()) < 200
+
+
+def test_bad_spec_rational_is_quoted_short():
+    code, out, err = run_cli("rewrite", "--spec", f"a1=1/{_LONG}x", "--poly", "x1^2",
+                             str(SYSTEMS / "binomial2.json"))
+    assert code == 1
+    assert err.startswith("binres: error: bad rational") and "'a1'" in err
+    assert len(err.encode()) < 200
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "out", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+        monkeypatch.setattr(sys, "argv", ["binres", "dual", "--which", "G", "--p", "1,2,3/2,1,-1"])
+        with pytest.raises(SystemExit) as info:
+            run()
+        # what is left of the output now goes to devnull
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+    assert info.value.code == 1
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command, order", [

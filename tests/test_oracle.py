@@ -13,7 +13,7 @@ import pytest
 
 from binres import oracle
 from binres.coeff_matrix import MatrixEntry, build_c
-from binres.errors import ValidationError
+from binres.errors import ModeMismatchError, ValidationError
 from binres.frames import cyclic_orders
 from binres.linalg import frac_det, frac_rank
 from binres.oracle import (
@@ -148,6 +148,13 @@ def test_membership_basics(rng):
     # a degree-2 square-free monomial alone is generically not in I_2
     if resultant_eval(system) != 0:
         assert not membership(missing, system)
+
+
+def test_membership_rejects_other_variable_count():
+    system = make_system(2, [(1, 2), (1, 2)], values=[(1, 1), (1, 2)])
+    for f in (XPoly(3, RATIONAL, {(2, 0, 0): Fraction(1)}), XPoly(3, RATIONAL)):
+        with pytest.raises(ModeMismatchError):
+            membership_batch(system, 2, [system.form(1), f])
 
 
 def test_sylvester_closed_form():

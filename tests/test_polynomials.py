@@ -111,6 +111,31 @@ def test_canonical_serialization_stable():
     f = XPoly(n, SYMBOLIC, {(2, 0): ParamPoly.param("a", 1, n),
                             (1, 1): ParamPoly.param("b", 1, n)})
     assert str(f) == "a1*x1^2 + b1*x1*x2"
+    # rational: a constant term, +-1 and fractional coefficients
+    r = XPoly(n, RATIONAL, {(2, 0): Fraction(1), (1, 1): Fraction(-1), (0, 2): Fraction(3, 2),
+                            (0, 0): Fraction(-5, 3), (1, 0): Fraction(-2)})
+    assert str(r) == "x1^2 + -x1*x2 + -2*x1 + 3/2*x2^2 + -5/3"
+    # symbolic: a sum is bracketed, -1 keeps only its sign, and a coefficient
+    # on the constant monomial keeps its '*1'
+    a1, a2 = ParamPoly.param("a", 1, n), ParamPoly.param("a", 2, n)
+    b1, b2 = ParamPoly.param("b", 1, n), ParamPoly.param("b", 2, n)
+    one = ParamPoly.const(n, 1)
+    s = XPoly(n, SYMBOLIC, {(2, 0): a1 * a2 - b1 * b2 * 3, (1, 1): -one, (0, 2): one,
+                            (1, 0): a2 * -2, (0, 0): a1})
+    assert str(s) == "(a1*a2 + -3*b1*b2)*x1^2 + -x1*x2 + -2*a2*x1 + x2^2 + a1*1"
+    assert str(XPoly(n, SYMBOLIC, {(0, 0): a1 + one * 4})) == "(a1 + 4)*1"
+    # a parameter polynomial with a constant term
+    assert str(a1 * a1 - b2 + one * 7) == "a1^2 + -b2 + 7"
+    assert str(ParamPoly.const(n, -3)) == "-3" and str(ParamPoly.const(n, 0)) == "0"
+    # mode is part of equality; equal polynomials hash alike however built
+    assert XPoly.zero(n, RATIONAL) != XPoly.zero(n, SYMBOLIC)
+    x1, x2 = XPoly.variable(n, 1), XPoly.variable(n, 2)
+    u, v = (x1 + x2) * (x1 - x2), x1 * x1 - x2 * x2
+    assert u == v and hash(u) == hash(v)
+    su = XPoly.monomial(n, (1, 1), a1) + XPoly.monomial(n, (1, 1), b1)
+    sv = XPoly(n, SYMBOLIC, {(1, 1): b1 + a1})
+    assert su == sv and hash(su) == hash(sv)
+    assert hash(a1 * b1 + one) == hash(one + b1 * a1)
 
 
 # -- property tests -----------------------------------------------------

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from binres.errors import DegreeRangeError, SingularCoeffMatrixError, ValidationError
+from binres.errors import (
+    DegreeRangeError,
+    ModeMismatchError,
+    SingularCoeffMatrixError,
+    ValidationError,
+)
 from binres.oracle import membership, quotient_dim
 from binres.polynomials import RATIONAL, XPoly, monomials
 from binres.resultant import resultant_eval
@@ -86,6 +91,13 @@ def test_reduce_rejects_high_degree():
     f = XPoly(2, RATIONAL, {(4, 0): Fraction(1)})
     with pytest.raises(DegreeRangeError):
         reduce(system, f)
+
+
+@pytest.mark.parametrize("m", [(2, 0, 0), (1, 1, 0), (0, 0, 0)])
+def test_reduce_rejects_other_variable_count(m):
+    # an n = 2 system against polynomials in 3 variables
+    with pytest.raises(ModeMismatchError):
+        reduce(spec2(), XPoly(3, RATIONAL, {m: Fraction(1)}))
 
 
 def test_rewrite_table_rejects_symbolic():
