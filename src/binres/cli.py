@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .coeff_matrix import build_c, build_cprime
-from .errors import BinresError, InternalCheckError, ValidationError
+from .errors import BinresError, InternalCheckError, ValidationError, clip
 from .frames import build_frame, cyclic_orders
 from .inverse_system import (
     ann_generator_counts,
@@ -68,11 +68,11 @@ def _parse_order(raw: str | None, n: int):
         values = [int(p) for p in raw.split(",") if p.strip()]
     except ValueError:
         raise ValidationError(f"--order needs a cyclic shift index or a permutation "
-                              f"of 1..{n}, got {raw!r}") from None
+                              f"of 1..{n}, got {clip(repr(raw))}") from None
     if len(values) == 1:
         k = values[0]
         if not 1 <= k <= n:
-            raise ValidationError(f"cyclic order index {k} out of range 1..{n}")
+            raise ValidationError(f"cyclic order index {clip(str(k))} out of range 1..{n}")
         return cyclic_orders(n)[k - 1]
     return tuple(values)
 
@@ -81,7 +81,7 @@ def _fractions(raw: str, count: int, what: str) -> list[Fraction]:
     try:
         vals = [Fraction(p.strip()) for p in raw.split(",") if p.strip()]
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"bad rational list for {what}: {raw!r}") from None
+        raise ValidationError(f"bad rational list for {what}: {clip(repr(raw))}") from None
     if len(vals) != count:
         raise ValidationError(f"{what} needs {count} comma-separated rationals")
     return vals
@@ -352,9 +352,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"binres: error: {exc}", file=sys.stderr)
-        return 1
     except InternalCheckError as exc:
         print(f"binres: internal check failed: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,10 @@ as u(d/dx_1, ..., d/dx_n)F.  The catalecticant pairing of F in degree k is
 the matrix of constants d^(u+v)F over u in R_k, v in R_{d-k}; its rank is the
 k-th Hilbert-function value of R/Ann(F).
 
+`_diff_terms` is the one differentiation routine: `apply_diff`, the Hessian
+entries, their values at a point and the hess^2 vanishing order all read
+d^e F from it, over Fraction or over Q[t] alike.
+
 The built-in duals F and G live in 5 variables v, w, x, y, z (= x_1..x_5) and
 depend on parameters p_1..p_5.  Both degenerate along the locus
 1 + p_1 p_2 p_3 p_4 p_5 = 0.  The annihilator generator lists bound here are
@@ -16,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, perm, prod
 
 from .errors import DegenerateSampleError, DegreeRangeError, ValidationError
 from .linalg import TPoly, bareiss_det_tpoly, frac_det, frac_kernel, frac_rank
-from .polynomials import RATIONAL, Mono, XPoly, is_squarefree, mono_mul, monomials
+from .polynomials import RATIONAL, Mono, XPoly, is_squarefree, mono_mul, monomials, sum_terms
 from .systems import BinomialSystem, make_system
 
 # term tables: (integer coefficient, p-exponents, x-exponents)
@@ -88,17 +92,9 @@ def _term_table(which: str):
 
 def _dual_terms(which: str, p) -> dict:
     """Term dict of F or G with p-values from any commutative coefficient ring."""
-    out: dict[Mono, object] = {}
-    for coeff, p_exps, x_exps in _term_table(which):
-        value = coeff
-        for pv, e in zip(p, p_exps):
-            for _ in range(e):
-                value = value * pv
-        if x_exps in out:
-            out[x_exps] = out[x_exps] + value
-        else:
-            out[x_exps] = value
-    return {m: c for m, c in out.items() if c != 0}
+    return sum_terms(
+        (x_exps, prod((pv for pv, e in zip(p, p_exps) for _ in range(e)), start=coeff))
+        for coeff, p_exps, x_exps in _term_table(which))
 
 
 @dataclass(frozen=True)
@@ -156,30 +152,11 @@ def annihilator_forms(which: str, p) -> list[XPoly]:
 # differentiation action
 # --------------------------------------------------------------------------
 
-def _falling(m: int, e: int) -> int:
-    out = 1
-    for t in range(e):
-        out *= m - t
-    return out
-
-
 def _diff_terms(terms: dict, e: Mono) -> dict:
     """Apply d^e to a term dict over any coefficient ring."""
-    out = {}
-    for m, c in terms.items():
-        if any(me < ee for me, ee in zip(m, e)):
-            continue
-        scale = 1
-        for me, ee in zip(m, e):
-            if ee:
-                scale *= _falling(me, ee)
-        target = tuple(me - ee for me, ee in zip(m, e))
-        value = c * scale
-        if target in out:
-            out[target] = out[target] + value
-        else:
-            out[target] = value
-    return {m: c for m, c in out.items() if c != 0}
+    return sum_terms(
+        (tuple(me - ee for me, ee in zip(m, e)), c * prod(map(perm, m, e)))
+        for m, c in terms.items() if all(me >= ee for me, ee in zip(m, e)))
 
 
 def apply_diff(op: XPoly, form: DualForm) -> XPoly:
@@ -188,12 +165,9 @@ def apply_diff(op: XPoly, form: DualForm) -> XPoly:
         raise ValidationError("differential operators are rational-mode XPoly")
     if op.n != form.n:
         raise ValidationError("variable counts differ")
-    out: dict[Mono, Fraction] = {}
     base = form.term_dict()
-    for e, c in op.terms.items():
-        for m, v in _diff_terms(base, e).items():
-            out[m] = out.get(m, Fraction(0)) + c * v
-    return XPoly(form.n, RATIONAL, out)
+    return XPoly(form.n, RATIONAL, sum_terms(
+        (m, c * v) for e, c in op.terms.items() for m, v in _diff_terms(base, e).items()))
 
 
 # --------------------------------------------------------------------------
@@ -207,21 +181,12 @@ def catalecticant_matrix(form: DualForm, k: int) -> tuple[list[Mono], list[Mono]
     rows = monomials(form.n, k)
     cols = monomials(form.n, form.degree - k)
     coeffs = form.term_dict()
-    matrix = []
-    for u in rows:
-        row = []
-        for m in cols:
-            total = mono_mul(u, m)
-            c = coeffs.get(total)
-            if c is None:
-                row.append(Fraction(0))
-            else:
-                scale = 1
-                for e in total:
-                    scale *= factorial(e)
-                row.append(c * scale)
-        matrix.append(row)
-    return rows, cols, matrix
+
+    def entry(total: Mono) -> Fraction:
+        c = coeffs.get(total)  # most products are absent: skip their factorials
+        return Fraction(0) if c is None else c * prod(map(factorial, total))
+
+    return rows, cols, [[entry(mono_mul(u, m)) for m in cols] for u in rows]
 
 
 def catalecticant_hilbert(form: DualForm) -> tuple[int, ...]:
@@ -284,27 +249,33 @@ class HessianMatrix:
     entries: tuple[tuple[XPoly, ...], ...]  # degree d - 2k each
 
 
-def _squarefree_basis(n: int, k: int) -> list[Mono]:
+def _hessian_basis(n: int, degree: int, k: int) -> list[Mono]:
+    """Square-free degree-k monomials in n variables, after checking that the
+    k-th Hessian of a degree-`degree` form is supported (0 <= k <= 2)."""
+    if k < 0:
+        raise ValidationError(f"the Hessian order k must be >= 0, got {k}")
+    if 2 * k > degree:
+        raise DegreeRangeError(f"2k = {2 * k} exceeds the form degree {degree}")
+    if k > 2:
+        raise ValidationError("the square-free default basis is provided for k <= 2")
     return [m for m in monomials(n, k) if is_squarefree(m)]
+
+
+def _hessian_at(terms: dict, basis: list[Mono], point, zero) -> list[list]:
+    """Hessian of the form with these terms over the basis, each entry
+    d^(u+v) of the form evaluated at the point and summed from `zero`."""
+    return [[sum((c * prod(x ** e for x, e in zip(point, m) if e)
+                  for m, c in _diff_terms(terms, mono_mul(u, v)).items()), zero)
+             for v in basis] for u in basis]
 
 
 def hessian(form: DualForm, k: int) -> HessianMatrix:
     """k-th Hessian over the square-free degree-k monomial basis (0 <= k <= 2)."""
-    if k < 0:
-        raise ValidationError(f"the Hessian order k must be >= 0, got {k}")
-    if 2 * k > form.degree:
-        raise DegreeRangeError(f"2k = {2 * k} exceeds the form degree {form.degree}")
-    if k > 2:
-        raise ValidationError("the square-free default basis is provided for k <= 2")
-    basis = _squarefree_basis(form.n, k)
-    rows = []
-    for u in basis:
-        row = []
-        for v in basis:
-            op = XPoly(form.n, RATIONAL, {mono_mul(u, v): Fraction(1)})
-            row.append(apply_diff(op, form))
-        rows.append(tuple(row))
-    return HessianMatrix(k, tuple(basis), tuple(rows))
+    basis = _hessian_basis(form.n, form.degree, k)
+    terms = form.term_dict()
+    rows = tuple(tuple(XPoly(form.n, RATIONAL, _diff_terms(terms, mono_mul(u, v)))
+                       for v in basis) for u in basis)
+    return HessianMatrix(k, tuple(basis), rows)
 
 
 def hess_det_eval(form: DualForm, k: int, point) -> Fraction:
@@ -312,9 +283,8 @@ def hess_det_eval(form: DualForm, k: int, point) -> Fraction:
     point = [Fraction(v) for v in point]
     if len(point) != form.n:
         raise ValidationError(f"point needs {form.n} coordinates")
-    h = hessian(form, k)
-    numeric = [[entry.eval_at(point) for entry in row] for row in h.entries]
-    return frac_det(numeric)
+    basis = _hessian_basis(form.n, form.degree, k)
+    return frac_det(_hessian_at(form.term_dict(), basis, point, Fraction(0)))
 
 
 def hess2_vanishing_order(which: str, p14, point) -> int:
@@ -329,31 +299,11 @@ def hess2_vanishing_order(which: str, p14, point) -> int:
     point = [Fraction(v) for v in point]
     if len(point) != 5:
         raise ValidationError("need a 5-coordinate evaluation point")
-    prod = Fraction(1)
-    for v in p14:
-        prod *= v
-    p5 = TPoly([-1 / prod, -1 / prod])  # -(1+t)/(p1 p2 p3 p4)
-    p_ring = [TPoly.const(v) for v in p14] + [p5]
-    terms = _dual_terms(which, p_ring)
-
-    basis = _squarefree_basis(5, 2)
-    matrix: list[list[TPoly]] = []
-    for u in basis:
-        row = []
-        for v in basis:
-            diffed = _diff_terms(terms, mono_mul(u, v))
-            total = TPoly()
-            for m, coeff in diffed.items():
-                scalar = Fraction(1)
-                for pv, e in zip(point, m):
-                    if e:
-                        scalar *= pv ** e
-                if scalar:
-                    total = total + coeff * scalar
-            row.append(total)
-        matrix.append(row)
-    det = bareiss_det_tpoly(matrix)
-    order = det.vanishing_order()
+    c = -1 / prod(p14)
+    p5 = TPoly([c, c])  # -(1+t)/(p1 p2 p3 p4)
+    terms = _dual_terms(which, [TPoly.const(v) for v in p14] + [p5])
+    matrix = _hessian_at(terms, _hessian_basis(5, 5, 2), point, TPoly())
+    order = bareiss_det_tpoly(matrix).vanishing_order()
     if order is None:
         raise DegenerateSampleError("hess^2 vanished identically for this sample; "
                                     "pick a different point")

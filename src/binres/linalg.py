@@ -107,15 +107,8 @@ class TPoly:
     def const(cls, c) -> "TPoly":
         return cls([Fraction(c)])
 
-    @classmethod
-    def t(cls) -> "TPoly":
-        return cls([0, 1])
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -148,9 +141,6 @@ class TPoly:
 
     def __sub__(self, other) -> "TPoly":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "TPoly":
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "TPoly":
         o = self._coerce(other)

@@ -62,6 +62,15 @@ def is_squarefree(m: Mono) -> bool:
     return all(e <= 1 for e in m)
 
 
+def sum_terms(pairs: Iterable[tuple[Mono, object]]) -> dict:
+    """Sum (monomial, coefficient) pairs over any coefficient ring into a term
+    dict; a monomial whose coefficients sum to zero (a falsy value) is dropped."""
+    out: dict = {}
+    for m, c in pairs:
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
 def mono_from_indices(n: int, indices: Iterable[int]) -> Mono:
     """Monomial from 1-based variable indices, e.g. (2, 3) -> x2*x3."""
     exps = [0] * n

@@ -34,6 +34,7 @@ from .polynomials import (
     XPoly,
     mono_from_indices,
     normalize_assignment,
+    sum_terms,
 )
 
 SCHEMA_VERSION = 1
@@ -99,6 +100,11 @@ class BinomialSystem:
 
     def specialize(self, assignment) -> "BinomialSystem":
         assignment = normalize_assignment(assignment)
+        known = {f"{kind}{i}" for kind in "ab" for i in range(1, self.n + 1)}
+        unknown = next((name for name in assignment if name not in known), None)
+        if unknown is not None:
+            raise ValidationError(f"{clip(repr(unknown))} is not a parameter of this "
+                                  f"{self.n}-variable system")
         gens = []
         for g in self.generators:
             try:
@@ -308,6 +314,11 @@ def _system_from_lines(text: str) -> BinomialSystem:
     return make_system(n, cofactors, None if symbolic else values, alias=alias)
 
 
+def _rational_poly(n: int, terms) -> XPoly:
+    """Sum of parsed (coefficient, parameter, exponents) terms as an XPoly."""
+    return XPoly(n, RATIONAL, sum_terms((exps, coeff) for coeff, _, exps in terms))
+
+
 def _space_from_lines(text: str):
     from .normal_form import QuadraticSpace
 
@@ -318,10 +329,7 @@ def _space_from_lines(text: str):
         idx, terms = _parse_form_line(line, line_no, n, allow_params=False)
         if not 1 <= idx <= n or forms[idx - 1] is not None:
             raise ParseError(f"bad form index g{idx}", line_no)
-        poly = XPoly(n, RATIONAL, {})
-        for coeff, _, exps in terms:
-            poly = poly + XPoly(n, RATIONAL, {exps: coeff})
-        forms[idx - 1] = poly
+        forms[idx - 1] = _rational_poly(n, terms)
     return QuadraticSpace.from_forms(forms)
 
 
@@ -330,11 +338,7 @@ def parse_x_polynomial(text: str, n: int) -> XPoly:
     'x1^2 + 2 x1 x2' (any degree)."""
     if not text.strip():
         raise ParseError("empty polynomial", 1, 1)
-    terms = _parse_terms(_tokenize(text, 1), len(text), 1, n, allow_params=False)
-    poly = XPoly(n, RATIONAL, {})
-    for coeff, _, exps in terms:
-        poly = poly + XPoly(n, RATIONAL, {exps: coeff})
-    return poly
+    return _rational_poly(n, _parse_terms(_tokenize(text, 1), len(text), 1, n, allow_params=False))
 
 
 def _field(obj, key: str, where: str):

@@ -228,6 +228,64 @@ def test_bad_spec_rational_is_quoted_short():
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["delta", "--lambda", "3", "--order", "x" * 5000, str(SYSTEMS / "cyclic23.json")],
+     "--order"),
+    (["delta", "--lambda", "3", "--order", "9" * 4000, str(SYSTEMS / "cyclic23.json")],
+     "cyclic order index"),
+    (["hessian", "--which", "G", "--p", ",".join(["1"] * 3000) + "q"], "--p"),
+    (["hessian", "--which", "G", "--p", "1,1,1,1,1", "--point", ",".join(["1/0"] * 3000)],
+     "--point"),
+], ids=["order-long", "order-index-long", "p-long", "point-long"])
+def test_bad_cli_value_is_quoted_short(argv, option):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert err.startswith("binres: error:") and option in err
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("extra", ["c1=3", "a7=3", "p3=1"])
+def test_spec_rejects_unknown_parameter(extra):
+    system = parse((SYSTEMS / "binomial2.json").read_text())
+    assignment = parse_assignment(f"a1=1,a2=1,b1=1,b2=1,{extra}")
+    name = next(iter(set(assignment) - {"a1", "a2", "b1", "b2"}))
+    with pytest.raises(ValidationError, match=f"'{name}' is not a parameter"):
+        system.specialize(assignment)
+    code, out, err = run_cli("rewrite", "--spec", f"a1=1,a2=1,b1=1,b2=1,{extra}",
+                             "--poly", "x1^2", str(SYSTEMS / "binomial2.json"))
+    assert code == 1
+    assert out == ""
+    assert err == f"binres: error: '{name}' is not a parameter of this 2-variable system\n"
+
+
+def test_specialize_quotes_a_long_unknown_name_short():
+    system = parse((SYSTEMS / "binomial2.json").read_text())
+    with pytest.raises(ValidationError) as info:
+        system.specialize({"a1": 1, "a2": 1, "b1": 1, "b2": 1, "a" + _LONG: 1})
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rewrite", "--spec", "a1=0,a2=1,b1=1,b2=2", "--poly", "x1^2",
+      str(SYSTEMS / "binomial2.json")], "C(2) is singular"),
+    (["hess2-order", "--p", "1,1,1,1", "--point", "0,0,0,0,0"], "vanished identically"),
+], ids=["singular-spec", "degenerate-sample"])
+def test_non_validation_errors_exit_one(argv, message):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("binres: error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_quadratic_space_line_grammar_matches_golden(tmp_path):
+    space = tmp_path / "space3.txt"
+    space.write_text("g1 = x1^2\ng2 = x2^2\ng3 = x1 x2\n")
+    code, out, err = run_cli("normal-form", "--seed", "5", str(space))
+    assert code == 0, err
+    assert out == (SYSTEMS / "golden" / "space3.normal_form.txt").read_text()
+
+
 def test_closed_stdout_exits_one_without_traceback(tmp_path, monkeypatch, capsys):
     class ClosedPipe:
         def __init__(self, fd):

@@ -17,6 +17,7 @@ from binres.inverse_system import (
     hess_det_eval,
     hessian,
 )
+from binres.linalg import frac_det
 from binres.polynomials import RATIONAL, XPoly
 from binres.resultant import resultant_eval
 
@@ -189,6 +190,19 @@ def test_hess2_g_nonzero_off_locus(rng):
 def test_hess2_f_nonzero_on_locus(rng):
     assert hess_det_eval(builtin_dual("F", rand_p(rng, on_locus=True)), 2,
                          rand_point(rng)) != 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_hessian_at_a_point_matches_hess_det_eval(rng, k):
+    # hessian's polynomial entries and hess_det_eval's point values are built
+    # separately from _diff_terms; both must give one determinant
+    for on_locus in (False, True):
+        form = builtin_dual("G", rand_p(rng, on_locus))
+        entries = hessian(form, k).entries
+        for _ in range(3):
+            point = rand_point(rng)
+            values = [[e.eval_at(point) for e in row] for row in entries]
+            assert frac_det(values) == hess_det_eval(form, k, point)
 
 
 def test_vanishing_order_g_at_least_five(rng):
