@@ -42,7 +42,7 @@ def _read_input(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+        raise ValidationError(f"cannot read {clip(path)}: {exc.strerror}") from None
     return parse(text)
 
 

@@ -9,11 +9,13 @@ k-th row of the square-coefficient matrix is cleared, a substitution
 x_i -> x_i + xi_i x_k manufactures a nonzero x_k^2 coefficient if the form
 lost all squares, and finally the k-th column is cleared.
 
-Both transformations are recorded and the certification identity
+Row operations act on the forms in place and only the change of variables is
+recorded.  The basis change is solved from it exactly, once, on every run:
 
     output forms == basis_change @ (input forms substituted by change_of_variables)
 
-is re-checked exactly on every run.
+That solve is the certificate; it fails unless the output lies in the span of
+the substituted input forms, where the solution is unique.
 """
 from __future__ import annotations
 
@@ -54,9 +56,7 @@ class QuadraticSpace:
                                       "symbolic coefficients are rejected")
             if f.is_zero() or not f.is_homogeneous() or f.degree() != 2:
                 raise ValidationError("every form must be homogeneous of degree 2")
-        basis = monomials(n, 2)
-        rows = [[Fraction(f.coefficient(m)) for m in basis] for f in forms]
-        if frac_rank(rows) != n:
+        if frac_rank(_coeff_rows(forms, monomials(n, 2))) != n:
             raise DependentFormsError("input forms are linearly dependent")
         return cls(n, forms)
 
@@ -102,12 +102,15 @@ def _sq_coeff(f: XPoly, j: int) -> Fraction:
     return Fraction(f.coefficient(m))
 
 
+def _coeff_rows(forms, basis) -> list[list[Fraction]]:
+    return [[Fraction(f.coefficient(m)) for m in basis] for f in forms]
+
+
 def _window_rows(forms, count, window) -> list[list[Fraction]]:
     """Coefficient rows of the first `count` forms over degree-2 monomials of
     x_1..x_window (monomials touching higher variables dropped)."""
-    n = forms[0].n
-    basis = [m for m in monomials(n, 2) if all(e == 0 for e in m[window:])]
-    return [[Fraction(forms[i].coefficient(m)) for m in basis] for i in range(count)], basis
+    basis = [m for m in monomials(forms[0].n, 2) if not any(m[window:])]
+    return _coeff_rows(forms[:count], basis)
 
 
 class _State:
@@ -115,7 +118,6 @@ class _State:
         self.n = space.n
         self.forms = list(space.forms)
         self.var_matrix = _mat_identity(space.n)
-        self.basis_matrix = _mat_identity(space.n)
         self.xi_log: list[tuple[int, str, tuple[Fraction, ...]]] = []
         self.rng = rng
         self.xi_override = list(xi_override or [])
@@ -124,17 +126,6 @@ class _State:
         self.forms = [_substitute_linear(f, mat) for f in self.forms]
         self.var_matrix = _mat_mul(self.var_matrix, mat)
         self.xi_log.append((level, stage, xi))
-
-    def row_op(self, elementary) -> None:
-        self.basis_matrix = _mat_mul(elementary, self.basis_matrix)
-        new_forms = []
-        for i in range(self.n):
-            acc = XPoly(self.n, RATIONAL)
-            for j in range(self.n):
-                if elementary[i][j] != 0:
-                    acc = acc + self.forms[j].scale(elementary[i][j])
-            new_forms.append(acc)
-        self.forms = new_forms
 
     def sample_xi(self, count: int, attempt: int) -> tuple[Fraction, ...]:
         if self.xi_override:
@@ -155,17 +146,13 @@ def _stage_a(state: _State, k: int) -> None:
     if k == 1:
         return
     for attempt in range(_MAX_RETRIES):
-        rows, _ = _window_rows(state.forms, k, k - 1)
+        rows = _window_rows(state.forms, k, k - 1)
         # pivot columns of the transpose: the first k-1 rows independent in order
         _, chosen = frac_rref(list(zip(*rows)))
         if len(chosen) >= k - 1:
             keep = chosen[: k - 1]
             rest = [i for i in range(k) if i not in keep]
-            perm = keep + rest + list(range(k, state.n))
-            if perm != list(range(state.n)):
-                p = [[Fraction(int(perm[i] == j)) for j in range(state.n)]
-                     for i in range(state.n)]
-                state.row_op(p)
+            state.forms[:k] = [state.forms[i] for i in keep + rest]
             return
         # no reordering works: generic x_k -> x_k + sum_{i<k} xi_i x_i
         xi = state.sample_xi(k - 1, attempt)
@@ -177,21 +164,18 @@ def _stage_a(state: _State, k: int) -> None:
 
 
 def _stage_cde(state: _State, k: int) -> None:
-    n = state.n
     # (c) clear the square coefficients x_j^2, j < k, of f_k
     coeffs = [_sq_coeff(state.forms[k - 1], j) for j in range(1, k)]
-    if any(coeffs):
-        e = _mat_identity(n)
-        for j, c in enumerate(coeffs):
-            e[k - 1][j] = -c
-        state.row_op(e)
+    for j, c in enumerate(coeffs):
+        if c:
+            state.forms[k - 1] -= state.forms[j].scale(c)
     # (d) if x_k^2 vanished, substitute x_i -> x_i + xi_i x_k to create it
     if _sq_coeff(state.forms[k - 1], k) == 0:
         if k == 1:
             raise InternalCheckError("pi_1(f_1) vanished despite independence")
         for attempt in range(_MAX_RETRIES):
             xi = state.sample_xi(k - 1, attempt)
-            mat = _mat_identity(n)
+            mat = _mat_identity(state.n)
             for i in range(k - 1):
                 mat[i][k - 1] = xi[i]
             trial = _substitute_linear(state.forms[k - 1], mat)
@@ -201,16 +185,12 @@ def _stage_cde(state: _State, k: int) -> None:
         else:
             raise GenericityExhaustedError(f"no generic xi at level {k}")
     # (e) scale f_k monic in x_k^2 and clear the column above the diagonal
-    pivot = _sq_coeff(state.forms[k - 1], k)
-    e = _mat_identity(n)
-    e[k - 1][k - 1] = 1 / pivot
-    state.row_op(e)
-    uppers = [_sq_coeff(state.forms[i], k) for i in range(k - 1)]
-    if any(uppers):
-        e = _mat_identity(n)
-        for i, c in enumerate(uppers):
-            e[i][k - 1] = -c
-        state.row_op(e)
+    f_k = state.forms[k - 1].scale(1 / _sq_coeff(state.forms[k - 1], k))
+    state.forms[k - 1] = f_k
+    for i in range(k - 1):
+        c = _sq_coeff(state.forms[i], k)
+        if c:
+            state.forms[i] -= f_k.scale(c)
 
 
 def to_normal_form(space: QuadraticSpace, seed: int = 0, xi_override=None) -> NormalFormResult:
@@ -225,23 +205,20 @@ def to_normal_form(space: QuadraticSpace, seed: int = 0, xi_override=None) -> No
     for k in range(1, space.n + 1):
         _stage_cde(state, k)
 
-    forms = tuple(state.forms)
-    if not is_normal_form(list(forms)):
+    if not is_normal_form(state.forms):
         raise InternalCheckError("normalization finished without reaching normal form")
-    # certification: basis_change @ (input ∘ change_of_variables) == forms
+    # certification: one row per monomial, the substituted inputs' coefficients
+    # then the outputs'.  Pivots exactly 0..n-1 put the outputs in the span of
+    # independent inputs, and the reduced rows read [I | basis_change^T].
+    n = space.n
     substituted = [_substitute_linear(f, state.var_matrix) for f in space.forms]
-    for i in range(space.n):
-        acc = XPoly(space.n, RATIONAL)
-        for j in range(space.n):
-            c = state.basis_matrix[i][j]
-            if c != 0:
-                acc = acc + substituted[j].scale(c)
-        if acc != forms[i]:
-            raise InternalCheckError("transformation certificate failed")
+    rref, pivots = frac_rref(list(zip(*_coeff_rows(substituted + state.forms, monomials(n, 2)))))
+    if pivots != list(range(n)):
+        raise InternalCheckError("transformation certificate failed")
     return NormalFormResult(
-        forms=forms,
+        forms=tuple(state.forms),
         change_of_variables=tuple(tuple(r) for r in state.var_matrix),
-        basis_change=tuple(tuple(r) for r in state.basis_matrix),
+        basis_change=tuple(zip(*(row[n:] for row in rref[:n]))),
         substitution_params=tuple(state.xi_log),
     )
 

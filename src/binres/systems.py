@@ -14,8 +14,8 @@ grammar is accepted for convenience:
     f1 = a1 x1^2 + p1 x2 x3
 
 Quadratic-space files (for normal-form preprocessing) carry instead a
-"quadratic_space" list of degree-2 forms with rational coefficients, or lines
-``g1 = x1^2 + 2 x1 x2``.
+"quadratic_space" list of degree-2 forms with rational coefficients, under
+the same schema 1, or lines ``g1 = x1^2 + 2 x1 x2``.
 """
 from __future__ import annotations
 
@@ -363,8 +363,6 @@ def _json_rational(value, what: str) -> Fraction:
 
 
 def _system_from_json(doc: dict) -> "BinomialSystem":
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema {clip(repr(doc.get('schema')))}")
     n = _json_int(_field(doc, "n", "system"), "n")
     forms = _field(doc, "forms", "system")
     if not isinstance(forms, list) or len(forms) != n:
@@ -423,6 +421,8 @@ def parse(text: str):
             raise _json_too_long(text, exc) from None
         except RecursionError:
             raise ParseError("invalid JSON: nested too deeply") from None
+        if doc.get("schema") != SCHEMA_VERSION:
+            raise ValidationError(f"unsupported schema {clip(repr(doc.get('schema')))}")
         if "quadratic_space" in doc:
             from .normal_form import QuadraticSpace
 

@@ -151,6 +151,18 @@ def test_missing_file_exits_one():
     assert "error" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"schema": 2, "n": 2, "quadratic_space": ["x1^2", "x2^2"]},
+    {"n": 2, "quadratic_space": ["x1^2", "x2^2"]},
+], ids=["schema-2", "no-schema"])
+def test_quadratic_space_schema_is_checked(tmp_path, doc):
+    bad = tmp_path / "space.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli("normal-form", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("binres: error: unsupported schema")
+
+
 def test_invalid_system_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": 1, "n": 2, "forms": [
@@ -236,7 +248,8 @@ def test_bad_spec_rational_is_quoted_short():
     (["hessian", "--which", "G", "--p", ",".join(["1"] * 3000) + "q"], "--p"),
     (["hessian", "--which", "G", "--p", "1,1,1,1,1", "--point", ",".join(["1/0"] * 3000)],
      "--point"),
-], ids=["order-long", "order-index-long", "p-long", "point-long"])
+    (["resultant", "x" * 5000], "cannot read"),
+], ids=["order-long", "order-index-long", "p-long", "point-long", "path-long"])
 def test_bad_cli_value_is_quoted_short(argv, option):
     code, out, err = run_cli(*argv)
     assert code == 1

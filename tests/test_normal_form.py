@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from binres.errors import DependentFormsError, ValidationError
+from binres import normal_form
+from binres.errors import DependentFormsError, InternalCheckError, ValidationError
 from binres.linalg import frac_rref
 from binres.normal_form import QuadraticSpace, is_normal_form, to_normal_form
 from binres.polynomials import RATIONAL, SYMBOLIC, ParamPoly, XPoly, monomials
@@ -105,6 +106,45 @@ def test_random_spaces_certified(seed):
     original, _ = frac_rref(coeff_rows(list(sp.forms)))
     recovered, _ = frac_rref(coeff_rows(back))
     assert original == recovered
+
+
+def test_basis_change_certifies_sparse_spaces():
+    # sparse spaces take both substitution stages, unlike the dense ones above
+    rng = random.Random(1)
+    stages = set()
+    for n in range(2, 7):
+        made = 0
+        while made < 4:
+            forms = [XPoly(n, RATIONAL, {m: Fraction(rng.choice([-2, -1, 1, 2, 3]))
+                                         for m in monomials(n, 2) if rng.random() < 0.25})
+                     for _ in range(n)]
+            try:
+                sp = QuadraticSpace.from_forms(forms)
+            except (DependentFormsError, ValidationError):
+                continue
+            made += 1
+            res = to_normal_form(sp, seed=made)
+            stages.update(stage for _, stage, _ in res.substitution_params)
+            substituted = [_substitute(f, res.change_of_variables) for f in sp.forms]
+            for row, form in zip(res.basis_change, res.forms):
+                combined = XPoly(n, RATIONAL)
+                for c, g in zip(row, substituted):
+                    combined = combined + g.scale(c)
+                assert combined == form
+    assert stages == {"independence", "square"}
+
+
+def test_unrecorded_substitution_fails_the_certificate(monkeypatch):
+    sp = space("x1^2", "x2^2", "x1 x2")
+    assert [level for level, _, _ in to_normal_form(sp, seed=5).substitution_params] == [3]
+
+    def substitute_unrecorded(self, mat, level, stage, xi):
+        self.forms = [normal_form._substitute_linear(f, mat) for f in self.forms]
+        self.xi_log.append((level, stage, xi))
+
+    monkeypatch.setattr(normal_form._State, "substitute", substitute_unrecorded)
+    with pytest.raises(InternalCheckError, match="certificate"):
+        to_normal_form(sp, seed=5)
 
 
 def test_hard_degenerate_space():
