@@ -43,6 +43,8 @@ def _read_input(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {clip(path)}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"cannot read {clip(path)}: not UTF-8") from None
     return parse(text)
 
 

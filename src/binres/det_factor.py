@@ -125,10 +125,6 @@ class FactoredPoly:
     def zero_poly(cls, n: int) -> "FactoredPoly":
         return cls(n, zero=True)
 
-    @classmethod
-    def one(cls, n: int) -> "FactoredPoly":
-        return cls(n)
-
     def is_zero(self) -> bool:
         return self.zero
 

@@ -8,7 +8,7 @@ k-th Hilbert-function value of R/Ann(F).
 
 `_diff_terms` is the one differentiation routine: `apply_diff`, the Hessian
 entries, their values at a point and the hess^2 vanishing order all read
-d^e F from it, over Fraction or over Q[t] alike.
+d^e F from it, over Fraction or over Q[t] (one-variable rational XPoly) alike.
 
 The built-in duals F and G live in 5 variables v, w, x, y, z (= x_1..x_5) and
 depend on parameters p_1..p_5.  Both degenerate along the locus
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial, lcm, perm, prod
 
 from .errors import DegenerateSampleError, DegreeRangeError, ValidationError
-from .linalg import TPoly, bareiss_det_tpoly, frac_det, frac_kernel, frac_rank
+from .linalg import bareiss_det_tpoly, frac_det, frac_kernel, frac_rank
 from .polynomials import RATIONAL, Mono, XPoly, is_squarefree, mono_mul, monomials, sum_terms
 from .systems import BinomialSystem, make_system
 
@@ -300,11 +300,11 @@ def hess2_vanishing_order(which: str, p14, point) -> int:
     if len(point) != 5:
         raise ValidationError("need a 5-coordinate evaluation point")
     c = -1 / prod(p14)
-    p5 = TPoly([c, c])  # -(1+t)/(p1 p2 p3 p4)
-    terms = _dual_terms(which, [TPoly.const(v) for v in p14] + [p5])
-    matrix = _hessian_at(terms, _hessian_basis(5, 5, 2), point, TPoly())
-    order = bareiss_det_tpoly(matrix).vanishing_order()
-    if order is None:
+    p5 = XPoly(1, RATIONAL, {(0,): c, (1,): c})  # -(1+t)/(p1 p2 p3 p4)
+    terms = _dual_terms(which, p14 + [p5])
+    det = bareiss_det_tpoly(_hessian_at(terms, _hessian_basis(5, 5, 2), point,
+                                        XPoly.zero(1)))
+    if det.is_zero():
         raise DegenerateSampleError("hess^2 vanished identically for this sample; "
                                     "pick a different point")
-    return order
+    return min(det.terms)[0]

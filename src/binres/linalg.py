@@ -1,15 +1,14 @@
-"""Exact dense linear algebra over Fraction, plus univariate Q[t] support.
+"""Exact dense linear algebra over Fraction, plus determinants over Q[t].
 
 Sizes here stay small (catalecticants, rewrite solves, Hessians), so plain
-rational Gaussian elimination is fine.  TPoly carries the one-parameter
-deformations used for Hessian vanishing orders; its ring is Q[t], where the
-Bareiss divisions are exact.
+rational Gaussian elimination is fine.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .errors import InternalCheckError, ValidationError
+from .polynomials import XPoly
 
 
 def frac_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -89,133 +88,48 @@ def frac_det(rows: list[list[Fraction]]) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# univariate polynomials over Q, ascending coefficients
+# determinants over Q[t], the one-variable rational XPoly
 # --------------------------------------------------------------------------
 
-class TPoly:
-    """Element of Q[t]; coefficient list ascending, trailing zeros trimmed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):  # ints, Fractions, or TPoly copy
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def const(cls, c) -> "TPoly":
-        return cls([Fraction(c)])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TPoly):
-            return self.coeffs == other.coeffs
-        return len(self.coeffs) <= 1 and (self.coeffs[0] if self.coeffs else 0) == other
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def _coerce(self, other) -> "TPoly":
-        return other if isinstance(other, TPoly) else TPoly.const(other)
-
-    def __add__(self, other) -> "TPoly":
-        o = self._coerce(other)
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TPoly":
-        return TPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "TPoly":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "TPoly":
-        o = self._coerce(other)
-        if not self.coeffs or not o.coeffs:
-            return TPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return TPoly(out)
-
-    __rmul__ = __mul__
-
-    def exact_div(self, other: "TPoly") -> "TPoly":
-        """Exact quotient in Q[t]; InternalCheckError on nonzero remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("TPoly division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.coeffs
-        lead = d[-1]
-        for i in range(len(rem) - len(d), -1, -1):
-            c = rem[i + len(d) - 1] / lead
-            if c:
-                q[i] = c
-                for j, dc in enumerate(d):
-                    rem[i + j] -= c * dc
-        if any(rem):
-            raise InternalCheckError("inexact TPoly division")
-        return TPoly(q)
-
-    def vanishing_order(self) -> "int | None":
-        """Multiplicity of the root t=0; None for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
+def _exact_div(num: XPoly, den: XPoly) -> XPoly:
+    """Exact quotient in Q[t]; InternalCheckError on a nonzero remainder."""
+    (d,), lead = max(den.terms.items())
+    inv = 1 / Fraction(lead)
+    rem = dict(num.terms)
+    quot = {}
+    while rem:
+        (e,) = max(rem)
+        if e < d:
+            raise InternalCheckError("inexact division in Q[t]")
+        c = rem[(e,)] * inv
+        quot[(e - d,)] = c
+        for (k,), v in den.terms.items():
+            m = (e - d + k,)
+            r = rem.get(m, 0) - c * v
+            if r:
+                rem[m] = r
             else:
-                t = "t" if i == 1 else f"t^{i}"
-                parts.append(t if c == 1 else ("-" + t if c == -1 else f"{c}*{t}"))
-        return " + ".join(parts)
-
-    __repr__ = __str__
+                del rem[m]
+    return num._with(quot)
 
 
-def bareiss_det_tpoly(rows: list[list[TPoly]]) -> TPoly:
+def bareiss_det_tpoly(rows: list[list[XPoly]]) -> XPoly:
     """Fraction-free Bareiss determinant over Q[t]; divisions are exact."""
     n = len(rows)
     m = [list(r) for r in rows]
     sign = 1
-    prev = TPoly.const(1)
+    prev = None
     for k in range(n - 1):
         if m[k][k].is_zero():
             piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
             if piv is None:
-                return TPoly()
+                return m[k][k]
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = TPoly()
+                cross = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = cross if prev is None else _exact_div(cross, prev)
         prev = m[k][k]
     result = m[n - 1][n - 1]
     return result if sign > 0 else -result

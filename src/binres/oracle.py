@@ -355,12 +355,11 @@ def sylvester_resultant_2(f: XPoly, g: XPoly):
 
     a = coeffs(f)
     b = coeffs(g)
-    zero = a[0] - a[0]
     m = [
-        [a[0], a[1], a[2], zero],
-        [zero, a[0], a[1], a[2]],
-        [b[0], b[1], b[2], zero],
-        [zero, b[0], b[1], b[2]],
+        [a[0], a[1], a[2], 0],
+        [0, a[0], a[1], a[2]],
+        [b[0], b[1], b[2], 0],
+        [0, b[0], b[1], b[2]],
     ]
     # Leibniz over S_4: fine for a 4x4 with ring entries
     total = None

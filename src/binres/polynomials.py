@@ -11,7 +11,12 @@ iff it is falsy, which holds for int, Fraction and ParamPoly alike.
               (a-exponents first, then b-exponents).
   XPoly     — polynomial in x_1..x_n, where the square-free basis rewriting
               lives, with coefficients in ParamPoly (symbolic mode) or in
-              Fraction (rational mode).
+              Fraction (rational mode).  With n = 1 and rational mode it is
+              also Q[t], the ring of the one-parameter deformation along which
+              the hess^2 vanishing order is read.
+
+An int or Fraction operand is a scalar: it multiplies every coefficient, and
+it is added as a constant term.
 
 x-monomials are plain exponent tuples of length n; the degree is their sum and
 a monomial is square-free iff every exponent is <= 1.  The canonical term
@@ -132,8 +137,16 @@ class _SparsePoly:
         return type(self)(*self._ring(), terms)
 
     def _check(self, other: "_SparsePoly") -> None:
-        if self.n != other.n:
-            raise ModeMismatchError(f"{type(self).__name__} variable counts differ")
+        if type(other) is not type(self) or other._ring() != self._ring():
+            raise ModeMismatchError(f"{type(self).__name__} rings differ: "
+                                    f"{self._ring()} vs {other._ring()}")
+
+    def _const_mono(self) -> Mono:
+        return (0,) * self.n
+
+    def _constant(self, value):
+        """A scalar as a constant polynomial of this ring."""
+        return self._with({self._const_mono(): value})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -142,11 +155,15 @@ class _SparsePoly:
         return bool(self.terms)
 
     def __add__(self, other):
+        if not isinstance(other, _SparsePoly):
+            other = self._constant(other)
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out[m] + c if m in out else c
         return self._with(out)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return self._with({m: -c for m, c in self.terms.items()})
@@ -155,6 +172,8 @@ class _SparsePoly:
         return self + (-other)
 
     def __mul__(self, other):
+        if not isinstance(other, _SparsePoly):
+            return self._with({m: c * other for m, c in self.terms.items()})
         self._check(other)
         out: dict = {}
         for m1, c1 in self.terms.items():
@@ -163,6 +182,8 @@ class _SparsePoly:
                 prod = c1 * c2
                 out[m] = out[m] + prod if m in out else prod
         return self._with(out)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, type(self)) and self._ring() == other._ring()
@@ -214,6 +235,9 @@ class ParamPoly(_SparsePoly):
     def _names(self) -> list[str]:
         return param_names(self.n)
 
+    def _const_mono(self) -> Mono:
+        return (0,) * (2 * self.n)
+
     # -- constructors
     @classmethod
     def const(cls, n: int, value: int) -> "ParamPoly":
@@ -241,14 +265,6 @@ class ParamPoly(_SparsePoly):
 
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
-
-    # -- arithmetic: the ring product, plus int scalars
-    def __mul__(self, other: "ParamPoly | int") -> "ParamPoly":
-        if isinstance(other, int):
-            return ParamPoly(self.n, {m: c * other for m, c in self.terms.items()})
-        return _SparsePoly.__mul__(self, other)
-
-    __rmul__ = __mul__
 
     # -- evaluation
     def specialize(self, assignment: Mapping[str, Fraction]) -> Fraction:
@@ -306,10 +322,8 @@ class XPoly(_SparsePoly):
     def _ring(self) -> tuple:
         return (self.n, self.mode)
 
-    def _check(self, other: "XPoly") -> None:
-        _SparsePoly._check(self, other)
-        if self.mode != other.mode:
-            raise ModeMismatchError(f"mode mismatch: {self.mode} vs {other.mode}")
+    def _constant(self, value) -> "XPoly":
+        return XPoly.monomial(self.n, self._const_mono(), value, self.mode)
 
     # -- constructors
     @classmethod

@@ -99,12 +99,13 @@ class BinomialSystem:
         return BinomialSystem(self.n, gens, self.order, self.alias)
 
     def specialize(self, assignment) -> "BinomialSystem":
-        assignment = normalize_assignment(assignment)
-        known = {f"{kind}{i}" for kind in "ab" for i in range(1, self.n + 1)}
-        unknown = next((name for name in assignment if name not in known), None)
+        # names are checked as given, so an error quotes the name the user typed
+        known = {f"{kind}{i}" for kind in "abp" for i in range(1, self.n + 1)}
+        unknown = next((name for name in assignment if name.strip() not in known), None)
         if unknown is not None:
             raise ValidationError(f"{clip(repr(unknown))} is not a parameter of this "
                                   f"{self.n}-variable system")
+        assignment = normalize_assignment(assignment)
         gens = []
         for g in self.generators:
             try:
@@ -157,8 +158,6 @@ def make_system(n, cofactors, values=None, order=None, alias="b") -> BinomialSys
             raise ValidationError(f"cofactor indices of f{i} out of range 1..{n}")
         if j == k:
             raise ValidationError(f"cofactor of f{i} must be square-free (indices distinct)")
-        if (j, k) == (i, i):
-            raise ValidationError(f"cofactor of f{i} equals its square term")
         a = b = None
         if values is not None:
             a, b = Fraction(values[i - 1][0]), Fraction(values[i - 1][1])
@@ -441,7 +440,8 @@ def parse(text: str):
 
 
 def parse_assignment(spec: str) -> dict[str, Fraction]:
-    """Parse 'a1=1,a2=2/3,p1=-1' into a parameter assignment (p aliases b)."""
+    """Parse 'a1=1,a2=2/3,p1=-1' into a parameter assignment, names as given
+    (`normalize_assignment` reads p_i as b_i)."""
     out = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -455,4 +455,4 @@ def parse_assignment(spec: str) -> dict[str, Fraction]:
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"bad rational {clip(repr(value))} "
                                   f"for {clip(repr(name.strip()))}") from None
-    return normalize_assignment(out)
+    return out

@@ -13,6 +13,7 @@ import pytest
 from binres.cli import build_parser, main, run
 from binres.errors import ParseError, ValidationError
 from binres.normal_form import QuadraticSpace
+from binres.polynomials import normalize_assignment
 from binres.systems import (
     BinomialSystem,
     make_system,
@@ -104,8 +105,12 @@ def test_parse_quadratic_space():
 
 
 def test_parse_assignment_with_alias():
+    # names are kept as typed; p_i is read as b_i when the assignment is used
     a = parse_assignment("a1=1, a2=2/3, p1=-1, p2=4")
-    assert a == {"a1": 1, "a2": Fraction(2, 3), "b1": -1, "b2": 4}
+    assert a == {"a1": 1, "a2": Fraction(2, 3), "p1": -1, "p2": 4}
+    assert normalize_assignment(a) == {"a1": 1, "a2": Fraction(2, 3), "b1": -1, "b2": 4}
+    system = parse((SYSTEMS / "binomial2.json").read_text())
+    assert system.specialize(a) == system.specialize(normalize_assignment(a))
 
 
 def test_parse_bad_schema():
@@ -269,6 +274,26 @@ def test_spec_rejects_unknown_parameter(extra):
     assert code == 1
     assert out == ""
     assert err == f"binres: error: '{name}' is not a parameter of this 2-variable system\n"
+
+
+def test_spec_names_the_parameter_as_typed():
+    # p7 is read as b7 only after the name check, so the error quotes p7
+    code, out, err = run_cli("rewrite", "--spec", "a1=1,a2=1,p1=1,p2=2,p7=3",
+                             "--poly", "x1^2", str(SYSTEMS / "binomial2.json"))
+    assert code == 1
+    assert out == ""
+    assert err == "binres: error: 'p7' is not a parameter of this 2-variable system\n"
+
+
+def test_non_utf8_input_file_is_a_validation_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"n": 2}'.encode("utf-16-le"))
+    code, out, err = run_cli("resultant", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("binres: error: cannot read") and err.endswith("not UTF-8\n")
+    assert "Traceback" not in err
+    assert len(err.encode()) < 200
 
 
 def test_specialize_quotes_a_long_unknown_name_short():

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from binres.errors import DegenerateSampleError, DegreeRangeError, ValidationError
+from binres.errors import (
+    DegenerateSampleError,
+    DegreeRangeError,
+    InternalCheckError,
+    ValidationError,
+)
 from binres.inverse_system import (
     ann_generator_counts,
     annihilator_forms,
@@ -17,7 +22,7 @@ from binres.inverse_system import (
     hess_det_eval,
     hessian,
 )
-from binres.linalg import frac_det
+from binres.linalg import bareiss_det_tpoly, frac_det
 from binres.polynomials import RATIONAL, XPoly
 from binres.resultant import resultant_eval
 
@@ -221,16 +226,44 @@ def test_vanishing_order_validates_input():
 
 
 def test_t_substitution_identity():
-    # with p5 = -(1+t)/(p1 p2 p3 p4), 1 + prod p equals -t exactly
-    from binres.linalg import TPoly
-
+    # with p5 = -(1+t)/(p1 p2 p3 p4), 1 + prod p equals -t exactly in Q[t]
     p14 = [Fraction(2), Fraction(1), Fraction(3, 2), Fraction(5)]
-    prod14 = Fraction(1)
-    for v in p14:
-        prod14 *= v
-    p5 = TPoly([Fraction(-1) / prod14, Fraction(-1) / prod14])
-    prod = TPoly.const(prod14) * p5
-    assert TPoly.const(1) + prod == TPoly([0, -1])
+    prod14 = p14[0] * p14[1] * p14[2] * p14[3]
+    c = Fraction(-1) / prod14
+    p5 = XPoly(1, RATIONAL, {(0,): c, (1,): c})
+    assert 1 + prod14 * p5 == XPoly(1, RATIONAL, {(1,): Fraction(-1)})
+
+
+def t_poly(*coeffs):
+    """The element sum c_i t^i of Q[t], as a one-variable rational XPoly."""
+    return XPoly(1, RATIONAL, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
+
+
+def test_bareiss_matches_frac_det_at_rational_t(rng):
+    for size in (1, 2, 3, 4):
+        rows = [[t_poly(*(rng.randint(-3, 3) for _ in range(rng.randint(0, 3))))
+                 for _ in range(size)] for _ in range(size)]
+        det = bareiss_det_tpoly(rows)
+        for t in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(-5, 2)):
+            assert det.eval_at([t]) == frac_det([[e.eval_at([t]) for e in row] for row in rows])
+
+
+def test_bareiss_pivots_past_a_zero_and_returns_zero_when_singular():
+    t = t_poly(0, 1)
+    swapped = [[t_poly(), t_poly(1)], [t, t_poly(2)]]
+    assert bareiss_det_tpoly(swapped) == -t
+    singular = [[t, t * t, 1 + t], [t_poly(), t_poly(), t_poly(1)], [1 + t, t + t * t, t_poly(2)]]
+    assert bareiss_det_tpoly(singular).is_zero()
+
+
+def test_bareiss_inexact_division_raises():
+    # (t^2 + 1) / t leaves the remainder 1; Bareiss only divides exactly
+    from binres.linalg import _exact_div
+
+    t = t_poly(0, 1)
+    assert _exact_div(t * t + t, t) == 1 + t
+    with pytest.raises(InternalCheckError):
+        _exact_div(t * t + 1, t)
 
 
 def test_hilbert_depends_only_on_locus(rng):

@@ -74,6 +74,33 @@ def test_poly_mul_mode_mismatch():
         poly_mul(x(2, 1), x(2, 1, mode=SYMBOLIC))
 
 
+def test_scalars_scale_and_add_as_constants():
+    n = 2
+    a1, b2 = ParamPoly.param("a", 1, n), ParamPoly.param("b", 2, n)
+    p = a1 + b2
+    assert 2 * p == p * 2 == p + p
+    assert (p * Fraction(1, 3)).terms == {m: Fraction(1, 3) for m in p.terms}
+    assert p + 1 == 1 + p == p + ParamPoly.const(n, 1)
+    assert (p + 1).constant_value() is None and (p - p + 1).constant_value() == 1
+    assert p + 0 == p and (p * 0).is_zero()
+
+    q = x(2, 1) + x(2, 2, 2)
+    assert 2 * q == q * 2 == q + q
+    assert (q * Fraction(1, 3)).terms == {(1, 0): Fraction(1, 3), (0, 2): Fraction(1, 3)}
+    assert q + 1 == 1 + q == q + XPoly.monomial(2, (0, 0), 1)
+    assert (q + Fraction(1, 2)).coefficient((0, 0)) == Fraction(1, 2)
+
+    s = x(2, 1, mode=SYMBOLIC)
+    assert s + 1 == s + XPoly.monomial(2, (0, 0), 1, SYMBOLIC)
+
+
+def test_polynomials_of_different_rings_do_not_mix():
+    with pytest.raises(ModeMismatchError):
+        x(2, 1) + ParamPoly.param("a", 1, 2)
+    with pytest.raises(ModeMismatchError):
+        x(2, 1) * x(3, 1)
+
+
 def test_specialize_all_ones():
     n = 2
     p = ParamPoly.param("a", 1, n) * ParamPoly.param("a", 2, n) \
