@@ -166,6 +166,17 @@ class FactoredPoly:
             v *= f.as_parampoly().specialize(assignment) ** mult
         return v
 
+    def vanishes_at(self, assignment) -> bool:
+        """Whether specialize(assignment) == 0, read atom by atom: some a_j,
+        b_j or circuit factor with a positive exponent evaluates to 0.  No
+        power is expanded."""
+        if self.zero:
+            return True
+        atoms = tuple(min(e, 1) for e in self.monomial)
+        if ParamPoly(self.n, {atoms: 1}).specialize(assignment) == 0:
+            return True
+        return any(f.as_parampoly().specialize(assignment) == 0 for f, _ in self.factors)
+
     def eval_mod(self, avals: list[int], bvals: list[int], p: int) -> int:
         if self.zero:
             return 0

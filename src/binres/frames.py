@@ -23,7 +23,7 @@ node off every cycle contributes its a_j and a cycle of length r contributes
 prod a + (-1)^(r-1) prod b (the sign of an r-cycle): `resultant.delta`.
 Modulo the ideal a node w rewrites to -(b_j/a_j) times its successor, so every
 node collapses onto the square-free monomial its walk ends in, or onto 0 when
-it feeds a cycle: `rewrite.rewrite_table`.
+it feeds a cycle: `rewrite.reduce` and `rewrite.rewrite_table`.
 """
 from __future__ import annotations
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import MissingParameterError, ModeMismatchError, ValidationError
+from .errors import MissingParameterError, ModeMismatchError, ValidationError, clip
 
 Mono = tuple  # exponent tuple; length n for x-monomials, 2n for parameters
 
@@ -104,12 +104,18 @@ def param_names(n: int, alias: str = "b") -> list[str]:
 
 
 def normalize_assignment(assignment: Mapping[str, object]) -> dict[str, Fraction]:
-    """Copy an assignment, accepting p_i as an alias of b_i."""
+    """Copy an assignment, accepting p_i as an alias of b_i; two keys that
+    name one parameter (p1 and b1) raise ValidationError."""
     out: dict[str, Fraction] = {}
+    typed: dict[str, str] = {}  # normalized name -> the key as given
     for key, value in assignment.items():
         name = key.strip()
         if name.startswith("p"):
             name = "b" + name[1:]
+        if name in typed:
+            raise ValidationError(f"{clip(repr(typed[name]))} and {clip(repr(key))} "
+                                  f"both set {clip(name)}")
+        typed[name] = key
         out[name] = Fraction(value)  # type: ignore[arg-type]
     return out
 
@@ -240,8 +246,14 @@ class ParamPoly(_SparsePoly):
 
     # -- constructors
     @classmethod
-    def const(cls, n: int, value: int) -> "ParamPoly":
-        return cls(n, {(0,) * (2 * n): int(value)})
+    def const(cls, n: int, value: "int | Fraction") -> "ParamPoly":
+        """The constant value, which must be an integer (an int or an integral
+        Fraction): ParamPoly coefficients are ints."""
+        q = Fraction(value)
+        if q.denominator != 1:
+            raise ValidationError(f"a symbolic coefficient must be an integer, "
+                                  f"got {clip(str(value))}")
+        return cls(n, {(0,) * (2 * n): q.numerator})
 
     @classmethod
     def param(cls, kind: str, index: int, n: int) -> "ParamPoly":
@@ -335,7 +347,7 @@ class XPoly(_SparsePoly):
         if isinstance(coeff, ParamPoly):
             return cls(n, SYMBOLIC, {m: coeff})
         if mode == SYMBOLIC:
-            return cls(n, SYMBOLIC, {m: ParamPoly.const(n, int(coeff))})
+            return cls(n, SYMBOLIC, {m: ParamPoly.const(n, coeff)})
         return cls(n, RATIONAL, {m: Fraction(coeff)})
 
     @classmethod

@@ -5,8 +5,13 @@ non-square-free monomial w = m*x_j^2 rewrites to -(b_j/a_j) * (m*m_j), its
 successor in the functional graph that `frames.successor_walks` traverses.
 Following it, every monomial of degree 2..n+1 collapses to a rational
 multiple of a single square-free monomial, or to 0 when it feeds a cycle whose
-loop product is not 1.  A loop product of exactly 1 is precisely a singular
-C(lambda); that, and a vanishing a_j, raise SingularCoeffMatrixError.
+loop product is not 1.  A loop product of exactly 1 is precisely a vanishing
+circuit factor of Delta_lambda = det C(lambda); that, and a vanishing a_j,
+raise SingularCoeffMatrixError.
+
+`reduce` reads invertibility from the symbolic Delta chain, cached per
+cofactor pattern and order, and then walks only from its input's own
+monomials.  `rewrite_table` resolves every monomial of one degree at once.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from .errors import DegreeRangeError, ModeMismatchError, SingularCoeffMatrixError, ValidationError
-from .frames import successor_walks
+from .frames import pairing_step, successor_walks
 from .polynomials import RATIONAL, Mono, XPoly, is_squarefree
 from .resultant import delta_chain
 from .systems import BinomialSystem
@@ -74,6 +79,8 @@ def rewrite_table(system: BinomialSystem, lam: int) -> RewriteTable:
     return RewriteTable(system, lam, tails)
 
 
+# nothing in src calls it; it stays while the benchmark tracer reads its
+# cache_info() (ROADMAP "Stale benchmark layers")
 @lru_cache(maxsize=128)
 def _cached_table(system: BinomialSystem, lam: int) -> RewriteTable:
     return rewrite_table(system, lam)
@@ -83,6 +90,12 @@ def reduce(system: BinomialSystem, f: XPoly) -> XPoly:
     """Rewrite homogeneous f (degree <= n+1) as a square-free combination.
 
     The result r satisfies f - r in I; square-free inputs are fixed points.
+    In degree lam >= 2, C(lam) must be invertible: every a_j is nonzero and
+    Delta_lam does not vanish at the specialization.  Each non-square-free
+    term then follows its own walk, gaining -b_j/a_j per step, to a
+    square-free monomial; a walk that meets one of its own nodes feeds a
+    cycle and is 0.  Degree n+1 has no square-free monomial, so there every
+    f reduces to 0.
     """
     if f.mode != RATIONAL:
         raise ValidationError("reduce needs rational-mode input")
@@ -97,14 +110,29 @@ def reduce(system: BinomialSystem, f: XPoly) -> XPoly:
         raise DegreeRangeError(f"degree {lam} beyond the rewriting range 2..{system.n + 1}")
     if lam < 2:
         return f
-    table = _cached_table(system, lam)
-    out = XPoly(system.n, RATIONAL)
+    if system.mode != RATIONAL:
+        raise ValidationError("reduce needs a specialized system")
+    if any(g.a == 0 for g in system.generators):
+        raise SingularCoeffMatrixError(lam)
+    if _symbolic_chain(system.symbolic_twin()).delta(lam).vanishes_at(system.assignment()):
+        raise SingularCoeffMatrixError(lam)
+    if lam == system.n + 1:
+        return XPoly(system.n, RATIONAL)
+    coeff = {g.square: -g.b / g.a for g in system.generators}
+    order, cofactors = system.order, system.pattern()
+    out: dict = {}
     for m, c in f.terms.items():
-        if is_squarefree(m):
-            out = out + XPoly(system.n, RATIONAL, {m: c})
-        else:
-            out = out + table.tail(m).scale(c)
-    return out
+        seen = set()
+        while c and not is_squarefree(m):
+            if m in seen:  # m lies on a cycle, whose loop product is not 1
+                c = 0
+                break
+            seen.add(m)
+            j, m = pairing_step(m, order, cofactors)
+            c *= coeff[j]
+        if c:
+            out[m] = out[m] + c if m in out else c
+    return XPoly(system.n, RATIONAL, out)
 
 
 @lru_cache(maxsize=128)
@@ -124,7 +152,7 @@ def hilbert_function(system: BinomialSystem) -> tuple[int, ...]:
     n = system.n
     chain = _symbolic_chain(system.symbolic_twin())
     assignment = system.assignment()
-    if all(chain.delta(lam).specialize(assignment) != 0 for lam in range(2, n + 2)):
+    if not any(chain.delta(lam).vanishes_at(assignment) for lam in range(2, n + 2)):
         return tuple(comb(n, k) for k in range(n + 1))
     from .oracle import ideal_dim
 

@@ -121,8 +121,10 @@ def test_parse_bad_schema():
 # -- golden outputs ------------------------------------------------------
 
 def golden_cases():
+    # manifest order, so a case appended at the end leaves every other test
+    # id (which carries the case's index) as it was
     manifest = json.loads((SYSTEMS / "golden" / "manifest.json").read_text())
-    return sorted(manifest.items())
+    return list(manifest.items())
 
 
 @pytest.mark.parametrize("name,argv", golden_cases())
@@ -283,6 +285,20 @@ def test_spec_names_the_parameter_as_typed():
     assert code == 1
     assert out == ""
     assert err == "binres: error: 'p7' is not a parameter of this 2-variable system\n"
+
+
+def test_spec_giving_p_and_b_of_one_generator_is_an_error():
+    # p1 is an alias of b1, so giving both would silently let one win
+    code, out, err = run_cli("rewrite", "--spec", "a1=1,a2=1,b1=1,p1=5,b2=2",
+                             "--poly", "x1^2", str(SYSTEMS / "binomial2.json"))
+    assert code == 1
+    assert out == ""
+    assert err == "binres: error: 'b1' and 'p1' both set b1\n"
+    with pytest.raises(ValidationError, match="'p2' and ' b2' both set b2"):
+        normalize_assignment({"p2": 1, " b2": 2})
+    with pytest.raises(ValidationError) as info:
+        normalize_assignment({"b1": 1, "p1" + "0" * 5000: 2, "b1" + "0" * 5000: 3})
+    assert len(str(info.value)) < 200
 
 
 def test_non_utf8_input_file_is_a_validation_error(tmp_path):

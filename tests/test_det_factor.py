@@ -22,7 +22,7 @@ from binres.errors import (
 )
 from binres.frames import cyclic_orders, node_count
 from binres.oracle import ModularContext, det_mod
-from binres.polynomials import ParamPoly
+from binres.polynomials import ParamPoly, param_names
 from binres.resultant import delta
 from binres.systems import cyclic_system, make_system
 
@@ -337,6 +337,32 @@ def test_factored_poly_specialize_matches_expand(rng):
     assignment |= {f"b{i}": Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                    for i in range(1, 4)}
     assert fp.specialize(assignment) == fp.expand().specialize(assignment)
+
+
+def test_vanishes_at_matches_specialize(rng):
+    # small values make atoms (0) and circuit factors (b = +-a) vanish often
+    from fractions import Fraction
+
+    from binres.resultant import delta_chain
+
+    seen = {True: 0, False: 0}
+    by_factor = 0
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        chain = delta_chain(dataclasses.replace(random_system(n, rng), order=tuple(order)))
+        names = param_names(n)
+        assignment = {name: Fraction(rng.choice((-2, -1, 0, 1, 1, 2, 2))) for name in names}
+        for d in chain.deltas:
+            vanishes = d.vanishes_at(assignment)
+            assert vanishes == (d.specialize(assignment) == 0), (d, assignment)
+            seen[vanishes] += 1
+            atoms_nonzero = all(assignment[name] != 0
+                                for name, e in zip(names, d.monomial) if e)
+            by_factor += vanishes and atoms_nonzero
+    assert seen[True] and seen[False] and by_factor
+    assert FactoredPoly.zero_poly(2).vanishes_at({})
 
 
 def test_decompose_reports_chains():

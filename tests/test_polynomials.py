@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binres.errors import MissingParameterError, ModeMismatchError
+from binres.errors import MissingParameterError, ModeMismatchError, ValidationError
 from binres.polynomials import (
     RATIONAL,
     SYMBOLIC,
@@ -92,6 +92,21 @@ def test_scalars_scale_and_add_as_constants():
 
     s = x(2, 1, mode=SYMBOLIC)
     assert s + 1 == s + XPoly.monomial(2, (0, 0), 1, SYMBOLIC)
+
+
+def test_symbolic_coefficients_must_be_integers():
+    # ParamPoly coefficients are ints; a fraction is refused, not truncated
+    assert x(2, 1, coeff=Fraction(6, 2), mode=SYMBOLIC) == 3 * x(2, 1, mode=SYMBOLIC)
+    assert ParamPoly.const(2, Fraction(-4, 2)).constant_value() == -2
+    s = x(2, 1, mode=SYMBOLIC)
+    for bad in (Fraction(1, 2), Fraction(3, 2)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            x(2, 1, coeff=bad, mode=SYMBOLIC)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            s + bad
+        with pytest.raises(ValidationError, match="must be an integer"):
+            bad + s
+    assert s + Fraction(2, 1) == s + 2
 
 
 def test_polynomials_of_different_rings_do_not_mix():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from binres.errors import (
+    BinresError,
     DegreeRangeError,
     ModeMismatchError,
     SingularCoeffMatrixError,
@@ -13,7 +15,7 @@ from binres.errors import (
 from binres.oracle import membership, quotient_dim
 from binres.polynomials import RATIONAL, XPoly, monomials
 from binres.resultant import resultant_eval
-from binres.rewrite import hilbert_function, reduce, rewrite_table
+from binres.rewrite import _cached_table, hilbert_function, reduce, rewrite_table
 from binres.systems import cyclic_system, make_system
 
 from conftest import random_specialization, random_system
@@ -203,3 +205,69 @@ def test_singularity_equivalence_200_specializations(rng):
         assert singular == (resultant_eval(spec) == 0)
         checked += 1
     assert checked == 200
+
+
+def _table_reduce(system, f):
+    """reduce through the rewrite table: the tails summed over f's terms."""
+    table = rewrite_table(system, f.degree())
+    out = XPoly(system.n, RATIONAL)
+    for m, c in f.terms.items():
+        out = out + (XPoly(system.n, RATIONAL, {m: c}) if max(m) < 2 else table.tail(m).scale(c))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BinresError as exc:
+        return type(exc), getattr(exc, "lam", None), str(exc)
+
+
+def test_reduce_equals_the_table_path(rng):
+    # random orders; generic points, singular ones (b_i = +-a_i), a_j = 0 and
+    # b_j = 0; every degree 2..n+1.  Errors match in type, degree and message.
+    outcomes = {"ok": 0, "error": 0}
+    for n in range(2, 7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for kind in ("generic", "plus_minus", "a_zero", "b_zero"):
+            for _ in range(3):
+                order = list(range(1, n + 1))
+                rng.shuffle(order)
+                system = make_system(n, [rng.choice(pairs) for _ in range(n)], order=tuple(order))
+                values = {}
+                for i in range(1, n + 1):
+                    a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                    b = (rng.choice((-1, 1)) * a if kind == "plus_minus"
+                         else Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                    values |= {f"a{i}": a, f"b{i}": b}
+                if kind in ("a_zero", "b_zero"):
+                    values[f"{kind[0]}{rng.randint(1, n)}"] = Fraction(0)
+                spec = system.specialize(values)
+                for lam in range(2, n + 2):
+                    monos = monomials(n, lam)
+                    f = XPoly(n, RATIONAL, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                            for m in rng.sample(monos, min(len(monos), 4))})
+                    got = _outcome(reduce, spec, f)
+                    assert got == _outcome(_table_reduce, spec, f), (spec, f)
+                    outcomes["ok" if isinstance(got, XPoly) else "error"] += 1
+    assert outcomes["ok"] > 100 and outcomes["error"] > 50, outcomes
+
+
+def test_reduce_in_top_degree_is_zero(rng):
+    # degree n+1 has no square-free monomial: every f reduces to 0
+    for n in (2, 3, 4, 5):
+        system = random_specialization(random_system(n, rng), rng)
+        while resultant_eval(system) == 0:
+            system = random_specialization(random_system(n, rng), rng)
+        f = XPoly(n, RATIONAL, {m: Fraction(k + 1) for k, m in enumerate(monomials(n, n + 1))})
+        assert reduce(system, f) == XPoly(n, RATIONAL)
+
+
+def test_reduce_builds_no_table(rng):
+    system = random_specialization(random_system(4, rng), rng)
+    while resultant_eval(system) == 0:
+        system = random_specialization(random_system(4, rng), rng)
+    before = _cached_table.cache_info()
+    for lam in range(2, 6):
+        reduce(system, XPoly(4, RATIONAL, {m: Fraction(1) for m in monomials(4, lam)}))
+    assert _cached_table.cache_info() == before
