@@ -37,7 +37,6 @@ from .frames import (
     identity_order,
 )
 from .inverse_system import (
-    DualForm,
     HessianMatrix,
     ann_generator_counts,
     annihilator_forms,

@@ -6,6 +6,7 @@ as u(d/dx_1, ..., d/dx_n)F.  The catalecticant pairing of F in degree k is
 the matrix of constants d^(u+v)F over u in R_k, v in R_{d-k}; its rank is the
 k-th Hilbert-function value of R/Ann(F).
 
+A dual form is a nonzero homogeneous rational-mode XPoly (`_check_form`).
 `_diff_terms` is the one differentiation routine: `apply_diff`, the Hessian
 entries, their values at a point and the hess^2 vanishing order all read
 d^e F from it, over Fraction or over Q[t] (one-variable rational XPoly) alike.
@@ -97,40 +98,18 @@ def _dual_terms(which: str, p) -> dict:
         for coeff, p_exps, x_exps in _term_table(which))
 
 
-@dataclass(frozen=True)
-class DualForm:
-    """Homogeneous rational form acted on by differentiation."""
-
-    n: int
-    degree: int
-    terms: tuple[tuple[Mono, Fraction], ...]
-
-    @classmethod
-    def from_terms(cls, n: int, terms: dict) -> "DualForm":
-        items = tuple(sorted((m, Fraction(c)) for m, c in terms.items() if c != 0))
-        if not items:
-            raise ValidationError("dual form must be nonzero")
-        degs = {sum(m) for m, _ in items}
-        if len(degs) != 1:
-            raise ValidationError("dual form must be homogeneous")
-        return cls(n, degs.pop(), items)
-
-    def term_dict(self) -> dict[Mono, Fraction]:
-        return dict(self.terms)
-
-    def as_xpoly(self) -> XPoly:
-        return XPoly(self.n, RATIONAL, self.term_dict())
-
-    def __str__(self) -> str:
-        return str(self.as_xpoly())
-
-
-def builtin_dual(which: str, p) -> DualForm:
-    """The quintic dual generator F or G at the given p_1..p_5."""
+def builtin_dual(which: str, p) -> XPoly:
+    """The quintic dual generator F or G at p_1..p_5; its coefficients are Fractions."""
     p = [Fraction(v) for v in p]
     if len(p) != 5:
         raise ValidationError("need exactly 5 parameter values")
-    return DualForm.from_terms(5, _dual_terms(which, p))
+    return XPoly(5, RATIONAL, {m: Fraction(c) for m, c in _dual_terms(which, p).items()})
+
+
+def _check_form(form) -> None:
+    if (not isinstance(form, XPoly) or form.mode != RATIONAL or form.is_zero()
+            or not form.is_homogeneous()):
+        raise ValidationError("a dual form is a nonzero homogeneous rational-mode XPoly")
 
 
 def annihilator_system(which: str) -> BinomialSystem:
@@ -159,43 +138,45 @@ def _diff_terms(terms: dict, e: Mono) -> dict:
         for m, c in terms.items() if all(me >= ee for me, ee in zip(m, e)))
 
 
-def apply_diff(op: XPoly, form: DualForm) -> XPoly:
+def apply_diff(op: XPoly, form: XPoly) -> XPoly:
     """op(d/dx_1, ..., d/dx_n) applied to the dual form; bilinear and exact."""
-    if op.mode != RATIONAL:
+    _check_form(form)
+    if not isinstance(op, XPoly) or op.mode != RATIONAL:
         raise ValidationError("differential operators are rational-mode XPoly")
     if op.n != form.n:
         raise ValidationError("variable counts differ")
-    base = form.term_dict()
     return XPoly(form.n, RATIONAL, sum_terms(
-        (m, c * v) for e, c in op.terms.items() for m, v in _diff_terms(base, e).items()))
+        (m, c * v) for e, c in op.terms.items() for m, v in _diff_terms(form.terms, e).items()))
 
 
 # --------------------------------------------------------------------------
 # catalecticants and annihilators
 # --------------------------------------------------------------------------
 
-def catalecticant_matrix(form: DualForm, k: int) -> tuple[list[Mono], list[Mono], list[list[Fraction]]]:
+def catalecticant_matrix(form: XPoly, k: int) -> tuple[list[Mono], list[Mono], list[list[Fraction]]]:
     """Pairing matrix R_k x R_{d-k}: entry (u, m) = value of d^(u+m) on the form."""
-    if not 0 <= k <= form.degree:
-        raise DegreeRangeError(f"k must lie in 0..{form.degree}")
+    _check_form(form)
+    d = form.degree()
+    if not 0 <= k <= d:
+        raise DegreeRangeError(f"k must lie in 0..{d}")
     rows = monomials(form.n, k)
-    cols = monomials(form.n, form.degree - k)
-    coeffs = form.term_dict()
+    cols = monomials(form.n, d - k)
 
     def entry(total: Mono) -> Fraction:
-        c = coeffs.get(total)  # most products are absent: skip their factorials
+        c = form.terms.get(total)  # most products are absent: skip their factorials
         return Fraction(0) if c is None else c * prod(map(factorial, total))
 
     return rows, cols, [[entry(mono_mul(u, m)) for m in cols] for u in rows]
 
 
-def catalecticant_hilbert(form: DualForm) -> tuple[int, ...]:
+def catalecticant_hilbert(form: XPoly) -> tuple[int, ...]:
     """Hilbert function (h_0, ..., h_d) of R/Ann(form) via catalecticant ranks."""
+    _check_form(form)
     return tuple(frac_rank(catalecticant_matrix(form, k)[2])
-                 for k in range(form.degree + 1))
+                 for k in range(form.degree() + 1))
 
 
-def ann_basis(form: DualForm, k: int) -> tuple[list[Mono], list[list[Fraction]]]:
+def ann_basis(form: XPoly, k: int) -> tuple[list[Mono], list[list[Fraction]]]:
     """Basis (coefficient vectors over the degree-k monomials) of Ann_k."""
     rows, _, matrix = catalecticant_matrix(form, k)
     transpose = [[matrix[i][j] for i in range(len(rows))] for j in range(len(matrix[0]))] \
@@ -203,7 +184,7 @@ def ann_basis(form: DualForm, k: int) -> tuple[list[Mono], list[list[Fraction]]]
     return rows, frac_kernel(transpose)
 
 
-def ann_generator_counts(form: DualForm) -> tuple[int, ...]:
+def ann_generator_counts(form: XPoly) -> tuple[int, ...]:
     """Minimal generator counts of Ann(form) by degree 0..d.
 
     count_k = dim Ann_k - dim(R_1 * Ann_{k-1}); for these Gorenstein ideals
@@ -211,7 +192,8 @@ def ann_generator_counts(form: DualForm) -> tuple[int, ...]:
     """
     from .oracle import int_rank
 
-    n, d = form.n, form.degree
+    _check_form(form)
+    n, d = form.n, form.degree()
     counts = []
     prev_basis: list[list[Fraction]] = []
     prev_monos: list[Mono] = []
@@ -269,22 +251,23 @@ def _hessian_at(terms: dict, basis: list[Mono], point, zero) -> list[list]:
              for v in basis] for u in basis]
 
 
-def hessian(form: DualForm, k: int) -> HessianMatrix:
+def hessian(form: XPoly, k: int) -> HessianMatrix:
     """k-th Hessian over the square-free degree-k monomial basis (0 <= k <= 2)."""
-    basis = _hessian_basis(form.n, form.degree, k)
-    terms = form.term_dict()
-    rows = tuple(tuple(XPoly(form.n, RATIONAL, _diff_terms(terms, mono_mul(u, v)))
+    _check_form(form)
+    basis = _hessian_basis(form.n, form.degree(), k)
+    rows = tuple(tuple(XPoly(form.n, RATIONAL, _diff_terms(form.terms, mono_mul(u, v)))
                        for v in basis) for u in basis)
     return HessianMatrix(k, tuple(basis), rows)
 
 
-def hess_det_eval(form: DualForm, k: int, point) -> Fraction:
+def hess_det_eval(form: XPoly, k: int, point) -> Fraction:
     """Determinant of the k-th Hessian evaluated exactly at a rational point."""
+    _check_form(form)
     point = [Fraction(v) for v in point]
     if len(point) != form.n:
         raise ValidationError(f"point needs {form.n} coordinates")
-    basis = _hessian_basis(form.n, form.degree, k)
-    return frac_det(_hessian_at(form.term_dict(), basis, point, Fraction(0)))
+    basis = _hessian_basis(form.n, form.degree(), k)
+    return frac_det(_hessian_at(form.terms, basis, point, Fraction(0)))
 
 
 def hess2_vanishing_order(which: str, p14, point) -> int:

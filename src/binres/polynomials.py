@@ -16,7 +16,7 @@ iff it is falsy, which holds for int, Fraction and ParamPoly alike.
               the hess^2 vanishing order is read.
 
 An int or Fraction operand is a scalar: it multiplies every coefficient, and
-it is added as a constant term.
+it is added as a constant term.  A ParamPoly scalar must be integral.
 
 x-monomials are plain exponent tuples of length n; the degree is their sum and
 a monomial is square-free iff every exponent is <= 1.  The canonical term
@@ -150,9 +150,14 @@ class _SparsePoly:
     def _const_mono(self) -> Mono:
         return (0,) * self.n
 
+    @staticmethod
+    def _scalar(value):
+        """A scalar operand as a coefficient of this ring."""
+        return value
+
     def _constant(self, value):
         """A scalar as a constant polynomial of this ring."""
-        return self._with({self._const_mono(): value})
+        return self._with({self._const_mono(): self._scalar(value)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -179,6 +184,7 @@ class _SparsePoly:
 
     def __mul__(self, other):
         if not isinstance(other, _SparsePoly):
+            other = self._scalar(other)
             return self._with({m: c * other for m, c in self.terms.items()})
         self._check(other)
         out: dict = {}
@@ -244,16 +250,22 @@ class ParamPoly(_SparsePoly):
     def _const_mono(self) -> Mono:
         return (0,) * (2 * self.n)
 
-    # -- constructors
-    @classmethod
-    def const(cls, n: int, value: "int | Fraction") -> "ParamPoly":
-        """The constant value, which must be an integer (an int or an integral
-        Fraction): ParamPoly coefficients are ints."""
+    @staticmethod
+    def _scalar(value) -> int:
+        """ParamPoly coefficients are ints: so must a scalar be (or an integral Fraction)."""
+        if type(value) is int:
+            return value
         q = Fraction(value)
         if q.denominator != 1:
             raise ValidationError(f"a symbolic coefficient must be an integer, "
                                   f"got {clip(str(value))}")
-        return cls(n, {(0,) * (2 * n): q.numerator})
+        return q.numerator
+
+    # -- constructors
+    @classmethod
+    def const(cls, n: int, value: "int | Fraction") -> "ParamPoly":
+        """The constant value, which must be an integer (`_scalar`)."""
+        return cls(n, {(0,) * (2 * n): cls._scalar(value)})
 
     @classmethod
     def param(cls, kind: str, index: int, n: int) -> "ParamPoly":

@@ -143,16 +143,18 @@ def _symbolic_chain(symbolic_twin: BinomialSystem):
 def hilbert_function(system: BinomialSystem) -> tuple[int, ...]:
     """Hilbert function of R/I for a specialized system.
 
-    When every C(lambda), lambda = 2..n+1, stays invertible the square-free
-    monomials are a basis and the function is the binomial row (degrees 0..n).
-    Otherwise falls back to oracle rank computations over degrees 0..2n.
+    The fast path reads Delta_{n+1} alone.  If it does not vanish, C(n+1) is
+    invertible, so I_{n+1} = R_{n+1}: R/I is Artinian, a complete intersection
+    whose Hilbert function is the binomial row (degrees 0..n).  `delta_chain`
+    checks that radical(Delta_lambda) divides radical(Delta_{lambda+1}), so
+    some Delta_lambda, lambda = 2..n+1, vanishes exactly when Delta_{n+1}
+    does.  Otherwise falls back to oracle ranks over degrees 0..2n.
     """
     if system.mode != RATIONAL:
         raise ValidationError("hilbert_function needs a specialized system")
     n = system.n
-    chain = _symbolic_chain(system.symbolic_twin())
-    assignment = system.assignment()
-    if not any(chain.delta(lam).vanishes_at(assignment) for lam in range(2, n + 2)):
+    top = _symbolic_chain(system.symbolic_twin()).delta(n + 1)
+    if not top.vanishes_at(system.assignment()):
         return tuple(comb(n, k) for k in range(n + 1))
     from .oracle import ideal_dim
 

@@ -441,7 +441,7 @@ def parse(text: str):
 
 def parse_assignment(spec: str) -> dict[str, Fraction]:
     """Parse 'a1=1,a2=2/3,p1=-1' into a parameter assignment, names as given
-    (`normalize_assignment` reads p_i as b_i)."""
+    (`normalize_assignment` reads p_i as b_i); a name given twice is an error."""
     out = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -450,9 +450,12 @@ def parse_assignment(spec: str) -> dict[str, Fraction]:
         if "=" not in chunk:
             raise ValidationError(f"bad assignment chunk {clip(repr(chunk))}")
         name, _, value = chunk.partition("=")
+        name = name.strip()
+        if name in out:
+            raise ValidationError(f"{clip(repr(name))} is given twice")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"bad rational {clip(repr(value))} "
-                                  f"for {clip(repr(name.strip()))}") from None
+                                  f"for {clip(repr(name))}") from None
     return out

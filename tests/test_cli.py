@@ -301,6 +301,20 @@ def test_spec_giving_p_and_b_of_one_generator_is_an_error():
     assert len(str(info.value)) < 200
 
 
+def test_spec_giving_one_name_twice_is_an_error():
+    # a dict would keep only the later value, here the answer for a1 = 2
+    code, out, err = run_cli("rewrite", "--spec", "a1=1,a1=2,a2=1,b1=1,b2=2",
+                             "--poly", "x1^2", str(SYSTEMS / "binomial2.json"))
+    assert code == 1
+    assert out == ""
+    assert err == "binres: error: 'a1' is given twice\n"
+    with pytest.raises(ValidationError, match="'b2' is given twice"):
+        parse_assignment("b2=1, b2 =1")
+    with pytest.raises(ValidationError) as info:
+        parse_assignment(",".join(["a" * 5000 + "=1"] * 2))
+    assert len(str(info.value)) < 200
+
+
 def test_non_utf8_input_file_is_a_validation_error(tmp_path):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe" + '{"n": 2}'.encode("utf-16-le"))

@@ -23,7 +23,7 @@ from binres.inverse_system import (
     hessian,
 )
 from binres.linalg import bareiss_det_tpoly, frac_det
-from binres.polynomials import RATIONAL, XPoly
+from binres.polynomials import RATIONAL, SYMBOLIC, ParamPoly, XPoly
 from binres.resultant import resultant_eval
 
 ONES = [Fraction(1)] * 5
@@ -50,20 +50,20 @@ def rand_point(rng):
 
 def test_builtin_f_at_zero():
     form = builtin_dual("F", [0] * 5)
-    assert form.term_dict() == {(1, 1, 1, 1, 1): Fraction(12)}
+    assert form.terms == {(1, 1, 1, 1, 1): Fraction(12)}
 
 
 def test_builtin_g_at_zero():
     form = builtin_dual("G", [0] * 5)
-    assert form.term_dict() == {(1, 1, 1, 1, 1): Fraction(120)}
+    assert form.terms == {(1, 1, 1, 1, 1): Fraction(120)}
 
 
 def test_builtin_f_coefficient_spot_checks():
     form = builtin_dual("F", ONES)
-    terms = form.term_dict()
+    terms = form.terms
     assert terms[(3, 0, 0, 1, 1)] == -2   # v^3 y z from t1
     assert terms[(3, 0, 2, 0, 0)] == 1    # v^3 x^2 from t2
-    assert form.degree == 5
+    assert form.degree() == 5
 
 
 def test_builtin_rejects_bad_input():
@@ -73,13 +73,35 @@ def test_builtin_rejects_bad_input():
         builtin_dual("F", [1, 2, 3])
 
 
+def test_builtin_dual_is_a_rational_xpoly_with_fraction_coefficients(rng):
+    for which in ("F", "G"):
+        for p in ([0] * 5, ONES, rand_p(rng), rand_p(rng, on_locus=True)):
+            form = builtin_dual(which, p)
+            assert isinstance(form, XPoly) and form.mode == RATIONAL and form.n == 5
+            assert form.is_homogeneous() and form.degree() == 5
+            assert all(type(c) is Fraction for c in form.terms.values())
+
+
+@pytest.mark.parametrize("bad", [
+    XPoly(5, SYMBOLIC, {(4, 0, 0, 0, 0): ParamPoly.param("a", 1, 5)}),
+    XPoly(5, RATIONAL),
+    XPoly(5, RATIONAL, {(4, 0, 0, 0, 0): Fraction(1), (1, 0, 0, 0, 0): Fraction(1)}),
+], ids=["symbolic", "zero", "inhomogeneous"])
+def test_dual_functions_refuse_a_form_that_is_not_a_dual(bad):
+    one = XPoly(5, RATIONAL, {(0, 0, 0, 0, 0): Fraction(1)})
+    calls = [lambda: apply_diff(one, bad), lambda: catalecticant_hilbert(bad),
+             lambda: catalecticant_matrix(bad, 1), lambda: ann_generator_counts(bad),
+             lambda: hessian(bad, 1), lambda: hess_det_eval(bad, 1, ONES)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="dual form"):
+            call()
+
+
 def test_apply_diff_identity_and_power():
     form = builtin_dual("F", ONES)
     one = XPoly(5, RATIONAL, {(0, 0, 0, 0, 0): Fraction(1)})
-    assert apply_diff(one, form) == form.as_xpoly()
-    from binres.inverse_system import DualForm
-
-    xd = DualForm.from_terms(5, {(4, 0, 0, 0, 0): Fraction(1)})
+    assert apply_diff(one, form) == form
+    xd = XPoly(5, RATIONAL, {(4, 0, 0, 0, 0): Fraction(1)})
     x1 = XPoly.variable(5, 1)
     assert apply_diff(x1, xd) == XPoly(5, RATIONAL, {(3, 0, 0, 0, 0): Fraction(4)})
 
@@ -126,9 +148,7 @@ def test_catalecticant_hilbert_g(rng):
 
 
 def test_catalecticant_rank_one_power():
-    from binres.inverse_system import DualForm
-
-    xd = DualForm.from_terms(5, {(4, 0, 0, 0, 0): Fraction(1)})
+    xd = XPoly(5, RATIONAL, {(4, 0, 0, 0, 0): Fraction(1)})
     assert catalecticant_hilbert(xd) == (1, 1, 1, 1, 1)
 
 

@@ -79,7 +79,8 @@ def test_scalars_scale_and_add_as_constants():
     a1, b2 = ParamPoly.param("a", 1, n), ParamPoly.param("b", 2, n)
     p = a1 + b2
     assert 2 * p == p * 2 == p + p
-    assert (p * Fraction(1, 3)).terms == {m: Fraction(1, 3) for m in p.terms}
+    with pytest.raises(ValidationError, match="must be an integer"):
+        p * Fraction(1, 3)
     assert p + 1 == 1 + p == p + ParamPoly.const(n, 1)
     assert (p + 1).constant_value() is None and (p - p + 1).constant_value() == 1
     assert p + 0 == p and (p * 0).is_zero()
@@ -107,6 +108,23 @@ def test_symbolic_coefficients_must_be_integers():
         with pytest.raises(ValidationError, match="must be an integer"):
             bad + s
     assert s + Fraction(2, 1) == s + 2
+
+
+def test_param_poly_scalars_are_integers():
+    # a scalar sum or product follows ParamPoly.const: an integral Fraction
+    # becomes an int, a non-integral one is refused
+    a1 = ParamPoly.param("a", 1, 2)
+    for bad in (Fraction(1, 2), Fraction(-5, 3)):
+        for op in (lambda: a1 * bad, lambda: bad * a1, lambda: a1 + bad, lambda: bad + a1,
+                   lambda: a1 - bad, lambda: x(2, 1, mode=SYMBOLIC) * bad,
+                   lambda: x(2, 1, mode=SYMBOLIC).scale(bad)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                op()
+    for scaled in (a1 * Fraction(4, 2), Fraction(4, 2) * a1, a1 + Fraction(4, 2)):
+        assert all(type(c) is int for c in scaled.terms.values())
+    assert (a1 * Fraction(6, 2)).eval_mod([3, 1], [1, 1], 7) == 2
+    assert type((a1 + Fraction(4, 2)).eval_mod([3, 1], [1, 1], 7)) is int
+    assert x(2, 1, mode=SYMBOLIC) * Fraction(4, 2) == 2 * x(2, 1, mode=SYMBOLIC)
 
 
 def test_polynomials_of_different_rings_do_not_mix():

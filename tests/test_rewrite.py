@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,7 +15,7 @@ from binres.errors import (
 )
 from binres.oracle import membership, quotient_dim
 from binres.polynomials import RATIONAL, XPoly, monomials
-from binres.resultant import resultant_eval
+from binres.resultant import delta_chain, resultant_eval
 from binres.rewrite import _cached_table, hilbert_function, reduce, rewrite_table
 from binres.systems import cyclic_system, make_system
 
@@ -223,14 +224,13 @@ def _outcome(fn, *args):
         return type(exc), getattr(exc, "lam", None), str(exc)
 
 
-def test_reduce_equals_the_table_path(rng):
-    # random orders; generic points, singular ones (b_i = +-a_i), a_j = 0 and
-    # b_j = 0; every degree 2..n+1.  Errors match in type, degree and message.
-    outcomes = {"ok": 0, "error": 0}
+def _four_kinds_of_specialization(rng, per_kind):
+    """Seeded specializations for n = 2..6 with random orders: generic points,
+    singular ones (b_i = +-a_i), one a_j = 0 and one b_j = 0."""
     for n in range(2, 7):
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         for kind in ("generic", "plus_minus", "a_zero", "b_zero"):
-            for _ in range(3):
+            for _ in range(per_kind):
                 order = list(range(1, n + 1))
                 rng.shuffle(order)
                 system = make_system(n, [rng.choice(pairs) for _ in range(n)], order=tuple(order))
@@ -242,15 +242,49 @@ def test_reduce_equals_the_table_path(rng):
                     values |= {f"a{i}": a, f"b{i}": b}
                 if kind in ("a_zero", "b_zero"):
                     values[f"{kind[0]}{rng.randint(1, n)}"] = Fraction(0)
-                spec = system.specialize(values)
-                for lam in range(2, n + 2):
-                    monos = monomials(n, lam)
-                    f = XPoly(n, RATIONAL, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                                            for m in rng.sample(monos, min(len(monos), 4))})
-                    got = _outcome(reduce, spec, f)
-                    assert got == _outcome(_table_reduce, spec, f), (spec, f)
-                    outcomes["ok" if isinstance(got, XPoly) else "error"] += 1
+                yield system.specialize(values)
+
+
+def test_reduce_equals_the_table_path(rng):
+    # every degree 2..n+1; errors match in type, degree and message
+    outcomes = {"ok": 0, "error": 0}
+    for spec in _four_kinds_of_specialization(rng, 3):
+        n = spec.n
+        for lam in range(2, n + 2):
+            monos = monomials(n, lam)
+            f = XPoly(n, RATIONAL, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                    for m in rng.sample(monos, min(len(monos), 4))})
+            got = _outcome(reduce, spec, f)
+            assert got == _outcome(_table_reduce, spec, f), (spec, f)
+            outcomes["ok" if isinstance(got, XPoly) else "error"] += 1
     assert outcomes["ok"] > 100 and outcomes["error"] > 50, outcomes
+
+
+class _Fallback(Exception):
+    pass
+
+
+def test_hilbert_fast_path_reads_the_top_delta_alone(rng, monkeypatch):
+    # some Delta_lambda, lambda = 2..n+1, vanishes exactly when Delta_{n+1}
+    # does; hilbert_function gives the binomial row exactly when it does not,
+    # and otherwise reaches the oracle fallback (stubbed out here)
+    def no_oracle(*args):
+        raise _Fallback
+
+    monkeypatch.setattr("binres.oracle.ideal_dim", no_oracle)
+    outcomes = {"fast": 0, "fallback": 0}
+    for spec in _four_kinds_of_specialization(rng, 10):
+        n, assignment = spec.n, spec.assignment()
+        chain = delta_chain(spec.symbolic_twin())
+        top = chain.delta(n + 1).vanishes_at(assignment)
+        assert top == any(chain.delta(lam).vanishes_at(assignment) for lam in range(2, n + 2))
+        if top:
+            with pytest.raises(_Fallback):
+                hilbert_function(spec)
+        else:
+            assert hilbert_function(spec) == tuple(comb(n, k) for k in range(n + 1))
+        outcomes["fallback" if top else "fast"] += 1
+    assert outcomes["fast"] > 50 and outcomes["fallback"] > 50, outcomes
 
 
 def test_reduce_in_top_degree_is_zero(rng):
