@@ -78,6 +78,23 @@ def node_count(n: int, lam: int) -> int:
     return comb(n + lam - 1, lam) - comb(n, lam)
 
 
+# The most monomials a walk or a frame may list.  Both list every monomial of
+# degree lambda, C(n + lambda - 1, lambda), which equals node_count at
+# lambda = n + 1.  A walk keeps about 1.6 KB per node, so this is about 1.6 GB;
+# it lets through every resultant up to n = 11 (646,646 at lambda = 12) and
+# refuses n = 12 (2,496,144 at lambda = 13).
+MAX_NODES = 1_000_000
+
+
+def _check_node_budget(n: int, lam: int) -> None:
+    """ValidationError, before any work, when the degree-lam monomials in n
+    variables number more than MAX_NODES."""
+    count = comb(n + lam - 1, lam)
+    if count > MAX_NODES:
+        raise ValidationError(f"lambda = {clip(str(lam), 20)} in {clip(str(n), 20)} variables lists "
+                              f"{clip(str(count), 20)} monomials, past the limit of {MAX_NODES:,}")
+
+
 def paired_count(n: int, lam: int, g: int) -> int:
     """Nodes whose pairing index is the (g+1)-th of the order: |M_{g+1}(lam-2)|.
 
@@ -105,6 +122,7 @@ def successor_walks(n: int, lam: int, order: tuple[int, ...],
     this one), and loop the position in path where the walk closed on
     itself, else None.  Every non-square-free monomial lies on one path.
     """
+    _check_node_budget(n, lam)
     walk_of: dict[Mono, int] = {}  # node -> the walk that reached it first
     for walk, start in enumerate(monomials(n, lam)):
         if start in walk_of or max(start) < 2:
@@ -164,6 +182,7 @@ def build_frame(n: int, lam: int, order=None) -> MonomialFrame:
         raise ValidationError("frames need n >= 1")
     if lam < 0:
         raise ValidationError("frames need lambda >= 0")
+    _check_node_budget(n, lam)
     order = check_order(n, order or identity_order(n))
     all_monos = monomials(n, lam)
     sets = []
@@ -180,6 +199,7 @@ def build_row_frame(n: int, lam: int, order=None) -> RowFrame:
     """Rows (m, j') of the degree-lambda matrix, grouped in sigma order."""
     if lam < 2:
         raise ValidationError("row frames need lambda >= 2")
+    _check_node_budget(n, lam)
     frame = build_frame(n, lam - 2, order)
     rows = []
     for g in range(n):

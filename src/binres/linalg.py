@@ -1,7 +1,9 @@
-"""Exact dense linear algebra over Fraction, plus determinants over Q[t].
+"""Exact linear algebra over Fraction, plus determinants over Q[t].
 
-Sizes here stay small (catalecticants, rewrite solves, Hessians), so plain
-rational Gaussian elimination is fine.
+Dense matrices here stay small (normal-form solves, Hessians, the oracle's
+spans), so plain rational Gaussian elimination is fine.  Catalecticants and
+annihilator lifts are mostly zero, so `sparse_eliminate` reduces them as dict
+rows instead.
 """
 from __future__ import annotations
 
@@ -56,6 +58,46 @@ def frac_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
             v[pc] = -rref[r][fc]
         basis.append(v)
     return basis
+
+
+def _subtract_multiple(target: dict, f: Fraction, source: dict) -> None:
+    """target -= f * source, in place, dropping the entries that cancel."""
+    for key, v in source.items():
+        x = target.pop(key, 0) - f * v
+        if x:
+            target[key] = x
+
+
+def sparse_eliminate(rows: list[dict]) -> tuple[int, list[dict[int, Fraction]]]:
+    """Rank of sparse rows over Q and a basis of their left kernel.
+
+    A row maps column keys (any mutually comparable values) to nonzero int or
+    Fraction entries.  Each row is reduced against the pivots found so far,
+    which are monic and keyed by their leading (smallest) column, while the
+    combination of input rows it has become is tracked.  A row left nonzero
+    becomes a pivot; a row that reduces to zero gives its combination
+    {row index: coefficient} as a left-kernel vector.  The rank is the number
+    of pivots, and the kernel vectors number len(rows) - rank.
+    """
+    pivots: dict = {}  # leading column -> (monic row, its combination)
+    kernel: list[dict[int, Fraction]] = []
+    for i, source in enumerate(rows):
+        row = dict(source)
+        combo = {i: Fraction(1)}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / Fraction(row[lead])
+                pivots[lead] = ({c: v * inv for c, v in row.items()},
+                                {r: v * inv for r, v in combo.items()})
+                break
+            f = row[lead]
+            _subtract_multiple(row, f, pivot[0])
+            _subtract_multiple(combo, f, pivot[1])
+        else:
+            kernel.append(combo)
+    return len(pivots), kernel
 
 
 def frac_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:

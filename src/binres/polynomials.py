@@ -328,6 +328,16 @@ Coefficient = Union[ParamPoly, Fraction]
 # XPoly
 # --------------------------------------------------------------------------
 
+def _x_coefficient(n: int, mode: str, c) -> Coefficient:
+    """c as a coefficient of an XPoly in n variables, or ValidationError."""
+    if isinstance(c, ParamPoly) and mode == SYMBOLIC and c.n == n:
+        return c
+    if isinstance(c, (int, Fraction)):
+        return c if mode == RATIONAL else ParamPoly.const(n, c)
+    raise ValidationError(f"a {mode} XPoly in {n} variables cannot take the "
+                          f"coefficient {clip(repr(c))}")
+
+
 class XPoly(_SparsePoly):
     """Sparse polynomial in x_1..x_n.
 
@@ -338,10 +348,21 @@ class XPoly(_SparsePoly):
     __slots__ = ("mode",)
 
     def __init__(self, n: int, mode: str, terms: "Mapping[Mono, Coefficient] | None" = None):
+        """Checks every coefficient: a rational polynomial takes int or
+        Fraction, a symbolic one a ParamPoly in the same n, or an int or
+        Fraction lifted through ParamPoly.const; anything else raises
+        ValidationError.  Arithmetic results (`_with`) are not checked again."""
         if mode not in (SYMBOLIC, RATIONAL):
             raise ValidationError(f"unknown mode {mode!r}")
         self.mode = mode
-        _SparsePoly.__init__(self, n, terms)
+        _SparsePoly.__init__(self, n, {m: _x_coefficient(n, mode, c)
+                                       for m, c in (terms or {}).items()})
+
+    def _with(self, terms: Mapping) -> "XPoly":
+        out = XPoly.__new__(XPoly)
+        out.mode = self.mode
+        _SparsePoly.__init__(out, self.n, terms)
+        return out
 
     def _ring(self) -> tuple:
         return (self.n, self.mode)

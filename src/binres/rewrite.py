@@ -132,7 +132,7 @@ def reduce(system: BinomialSystem, f: XPoly) -> XPoly:
             c *= coeff[j]
         if c:
             out[m] = out[m] + c if m in out else c
-    return XPoly(system.n, RATIONAL, out)
+    return f._with(out)
 
 
 @lru_cache(maxsize=128)

@@ -407,6 +407,12 @@ def test_delta_json():
     assert doc["delta"]["monomial"]["a"] == [1, 1, 1, 1, 1]
 
 
+def test_delta_refuses_an_oversized_lambda():
+    code, out, err = run_cli("delta", "--lambda", "200", str(SYSTEMS / "cyclic23.json"))
+    assert code == 1 and out == ""
+    assert "70058751 monomials, past the limit" in err and len(err) < 200
+
+
 def test_frames_full_listing():
     code, out, _ = run_cli("frames", "--n", "2", "--lambda", "1", "--full")
     assert code == 0

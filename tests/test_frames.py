@@ -9,8 +9,10 @@ import pytest
 
 from binres.coeff_matrix import build_c
 from binres.det_factor import decompose
+from binres import frames
 from binres.errors import ValidationError
 from binres.frames import (
+    MAX_NODES,
     build_column_frame,
     build_frame,
     build_row_frame,
@@ -193,3 +195,32 @@ def test_successor_walks_partition_the_graph_into_paths():
                 circuits = decompose(build_c(system, lam, order)).circuits
                 assert sorted(cycle_lengths) == sorted(len(c) for c in circuits), (
                     system.pattern(), order, lam)
+
+
+@pytest.mark.parametrize("make", [
+    lambda lam: next(successor_walks(5, lam, identity_order(5), cyclic_system(5, (2, 3)).pattern())),
+    lambda lam: build_frame(5, lam),
+    lambda lam: build_row_frame(5, lam),
+], ids=["walk", "frame", "row_frame"])
+def test_an_oversized_degree_is_refused_before_any_work(make, monkeypatch):
+    # node_count(5, 200) = 70,058,751 nodes would need about 110 GB; the
+    # refusal is shown under a small limit, so that a missing check fails
+    # here at once instead of starting that walk
+    assert node_count(5, 200) > MAX_NODES
+    monkeypatch.setattr(frames, "MAX_NODES", 100)
+    make(4)  # 70 monomials
+    with pytest.raises(ValidationError, match="126 monomials, past the limit of 100"):
+        make(5)
+
+
+def test_the_node_limit_lets_every_resultant_up_to_n_11_through():
+    assert node_count(11, 12) == 646_646 <= MAX_NODES < node_count(12, 13)
+    frames._check_node_budget(11, 12)
+
+
+def test_the_node_limit_counts_the_square_free_monomials_of_a_frame(monkeypatch):
+    # a frame lists all C(n + lam - 1, lam) monomials, not only the
+    # node_count(20, 2) = 20 squares
+    monkeypatch.setattr(frames, "MAX_NODES", 100)
+    with pytest.raises(ValidationError, match="210 monomials, past the limit"):
+        build_frame(20, 2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from binres.errors import (
     ValidationError,
 )
 from binres.inverse_system import (
+    ann_basis,
     ann_generator_counts,
     annihilator_forms,
     annihilator_system,
@@ -22,8 +24,8 @@ from binres.inverse_system import (
     hess_det_eval,
     hessian,
 )
-from binres.linalg import bareiss_det_tpoly, frac_det
-from binres.polynomials import RATIONAL, SYMBOLIC, ParamPoly, XPoly
+from binres.linalg import bareiss_det_tpoly, frac_det, frac_kernel, frac_rank, sparse_eliminate
+from binres.polynomials import RATIONAL, SYMBOLIC, ParamPoly, XPoly, mono_mul, monomials
 from binres.resultant import resultant_eval
 
 ONES = [Fraction(1)] * 5
@@ -170,7 +172,20 @@ def test_ann_generator_counts_f(rng):
 def test_ann_generator_counts_monomial_dual():
     form = builtin_dual("F", [0] * 5)  # 12 v w x y z
     counts = ann_generator_counts(form)
-    assert counts == (0, 0, 5, 0, 0, 0)
+    assert counts == (0, 0, 5, 0, 0, 0, 0)
+
+
+def test_ann_generator_counts_reach_degree_d_plus_one():
+    # Ann(x1^4) = (x2, ..., x5, x1^5): its last generator lies in degree d+1
+    form = XPoly(5, RATIONAL, {(4, 0, 0, 0, 0): Fraction(1)})
+    assert ann_generator_counts(form) == (0, 4, 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_ann_generator_counts_of_a_constant_form(n):
+    # Ann(c) = (x_1, ..., x_n), all in degree d+1 = 1
+    form = XPoly(n, RATIONAL, {(0,) * n: Fraction(-7, 2)})
+    assert ann_generator_counts(form) == (0, n)
 
 
 def test_catalecticant_matrix_shape():
@@ -286,6 +301,21 @@ def test_bareiss_inexact_division_raises():
         _exact_div(t * t + 1, t)
 
 
+def test_sparse_eliminate_rank_and_left_kernel(rng):
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        dense = [[rng.choice([0, 0, 0, 1, -2, Fraction(3, 2)]) for _ in range(ncols)]
+                 for _ in range(rng.randint(0, 7))]
+        if dense:  # an equal and a proportional row
+            dense += [list(dense[0]), [Fraction(-2, 3) * v for v in dense[0]]]
+        rank, kernel = sparse_eliminate([{j: v for j, v in enumerate(row) if v} for row in dense])
+        assert rank == frac_rank(dense) and len(kernel) == len(dense) - rank
+        assert frac_rank([[vec.get(i, 0) for i in range(len(dense))] for vec in kernel]) == \
+            len(kernel)
+        for vec in kernel:
+            assert all(sum(c * dense[i][j] for i, c in vec.items()) == 0 for j in range(ncols))
+
+
 def test_hilbert_depends_only_on_locus(rng):
     # a few samples here; the acceptance suite runs many more per side
     for _ in range(3):
@@ -300,3 +330,80 @@ def test_vanishing_order_degenerate_sample_raises():
     # vanishes identically in t
     with pytest.raises(DegenerateSampleError):
         hess2_vanishing_order("G", [1, 1, 1, 1], [0, 0, 0, 0, 0])
+
+
+# -- the sparse catalecticants against a dense reference built from the definition
+
+def reference_catalecticant(form, k):
+    """Entry (u, m) is the constant d^(u+m) form, read through apply_diff."""
+    n, d = form.n, form.degree()
+    const = (0,) * n
+    return [[apply_diff(XPoly.monomial(n, mono_mul(u, m)), form).coefficient(const)
+             for m in monomials(n, d - k)] for u in monomials(n, k)]
+
+
+def reference_ann_counts(form, catalecticants):
+    """Generator counts by degree 0..d+1 from dense frac_kernel and frac_rank
+    over the reference catalecticants."""
+    n, d = form.n, form.degree()
+    counts = []
+    prev: list = []
+    prev_monos: list = []
+    for k in range(d + 2):
+        monos = monomials(n, k)
+        if k <= d:
+            basis = frac_kernel([list(col) for col in zip(*catalecticants[k])])
+        else:
+            basis = [[Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))]
+        index = {m: i for i, m in enumerate(monos)}
+        lifted = []
+        for vec in prev:
+            for var in range(n):
+                row = [Fraction(0)] * len(monos)
+                for c, m in zip(vec, prev_monos):
+                    if c:
+                        row[index[m[:var] + (m[var] + 1,) + m[var + 1:]]] += c
+                lifted.append(row)
+        counts.append(len(basis) - frac_rank(lifted))
+        prev, prev_monos = basis, monos
+    return tuple(counts)
+
+
+def reference_forms():
+    rng = random.Random(2111)
+    forms = {}
+    for which in ("F", "G"):
+        forms[f"{which}_off"] = builtin_dual(which, rand_p(rng))
+        forms[f"{which}_on"] = builtin_dual(which, rand_p(rng, on_locus=True))
+        forms[f"{which}_zero"] = builtin_dual(which, [0] * 5)
+        forms[f"{which}_locus"] = builtin_dual(which, LOCUS)
+    forms["x1^4"] = XPoly(5, RATIONAL, {(4, 0, 0, 0, 0): Fraction(1)})
+    forms["constant"] = XPoly(3, RATIONAL, {(0, 0, 0): Fraction(5, 3)})
+    for i in range(30):
+        n, d = rng.randint(2, 5), rng.randint(2, 5)
+        support = rng.sample(monomials(n, d), min(rng.randint(1, 6), len(monomials(n, d))))
+        forms[f"sparse{i}_n{n}_d{d}"] = XPoly(n, RATIONAL, {
+            m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for m in support})
+    return forms
+
+
+REFERENCE_FORMS = reference_forms()
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_FORMS))
+def test_sparse_catalecticants_match_the_dense_reference(name):
+    form = REFERENCE_FORMS[name]
+    d = form.degree()
+    references = [reference_catalecticant(form, k) for k in range(d + 1)]
+    for k, reference in enumerate(references):
+        rows, cols, matrix = catalecticant_matrix(form, k)
+        assert (rows, cols, matrix) == (monomials(form.n, k), monomials(form.n, d - k), reference)
+        monos, basis = ann_basis(form, k)
+        assert monos == rows and len(basis) == len(rows) - frac_rank(reference)
+        assert frac_rank(basis) == len(basis)
+        for vec in basis:
+            assert all(sum(v * row[j] for v, row in zip(vec, reference) if v) == 0
+                       for j in range(len(cols)))
+    # every rank is eliminated here, with no mirroring
+    assert catalecticant_hilbert(form) == tuple(map(frac_rank, references))
+    assert ann_generator_counts(form) == reference_ann_counts(form, references)

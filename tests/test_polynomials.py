@@ -238,3 +238,24 @@ def test_xpoly_mul_degree_additive_on_homogeneous(_terms):
 
 def test_mono_mul():
     assert mono_mul((1, 2), (0, 1)) == (1, 3)
+
+
+def test_symbolic_xpoly_lifts_a_scalar_coefficient():
+    # an int is lifted through ParamPoly.const, so the result is the one that
+    # arithmetic builds and it specializes like any symbolic polynomial
+    lifted = XPoly(2, SYMBOLIC, {(1, 0): 3})
+    assert lifted == 3 * XPoly.variable(2, 1, SYMBOLIC)
+    assert lifted.specialize({}) == XPoly(2, RATIONAL, {(1, 0): Fraction(3)})
+    with pytest.raises(ValidationError):
+        XPoly(2, SYMBOLIC, {(1, 0): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("mode, coeff", [
+    (RATIONAL, 0.5), (RATIONAL, 0.0), (RATIONAL, ParamPoly.param("a", 1, 5)),
+    (SYMBOLIC, 1.0), (SYMBOLIC, ParamPoly.param("a", 1, 2)), (SYMBOLIC, "1"),
+], ids=["float", "float-zero", "parampoly", "symbolic-float", "other-n", "str"])
+def test_xpoly_refuses_a_coefficient_of_another_type(mode, coeff):
+    # a float dual form would otherwise have its catalecticant ranks taken in
+    # floating point
+    with pytest.raises(ValidationError, match="cannot take the coefficient"):
+        XPoly(5, mode, {(5, 0, 0, 0, 0): coeff, (0, 5, 0, 0, 0): 1})
