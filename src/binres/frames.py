@@ -82,17 +82,43 @@ def node_count(n: int, lam: int) -> int:
 # degree lambda, C(n + lambda - 1, lambda), which equals node_count at
 # lambda = n + 1.  A walk keeps about 1.6 KB per node, so this is about 1.6 GB;
 # it lets through every resultant up to n = 11 (646,646 at lambda = 12) and
-# refuses n = 12 (2,496,144 at lambda = 13).
+# refuses n = 12 (2,496,144 at lambda = 13).  A monomial holds n exponents,
+# so the listing is bounded by MAX_EXPONENTS as well: n = 11 lists 7,113,106
+# at lambda = 12, while a million variables in degree 1 would list 10^12.
 MAX_NODES = 1_000_000
+MAX_EXPONENTS = 10_000_000
+# a monomial count past this is reported as "more than 10^18"
+_COUNT_CAP = 10 ** 18
+
+
+def _monomial_count(n: int, lam: int) -> "int | None":
+    """C(n + lam - 1, lam), or None once it is past _COUNT_CAP.
+
+    With s <= l the smaller and larger of lam and n - 1, the count is
+    C(l + s, s), built up as C(l + k, k) for k = 1..s.  Since C(l + k, k) >=
+    2^k, it passes the cap within 60 steps, however large n and lam are.
+    """
+    small, large = sorted((lam, n - 1))
+    count = 1
+    for k in range(1, small + 1):
+        count = count * (large + k) // k
+        if count > _COUNT_CAP:
+            return None
+    return count
 
 
 def _check_node_budget(n: int, lam: int) -> None:
     """ValidationError, before any work, when the degree-lam monomials in n
-    variables number more than MAX_NODES."""
-    count = comb(n + lam - 1, lam)
-    if count > MAX_NODES:
-        raise ValidationError(f"lambda = {clip(str(lam), 20)} in {clip(str(n), 20)} variables lists "
-                              f"{clip(str(count), 20)} monomials, past the limit of {MAX_NODES:,}")
+    variables number more than MAX_NODES or hold more than MAX_EXPONENTS
+    exponents."""
+    count = _monomial_count(n, lam)
+    where = f"lambda = {clip(str(lam), 20)} in {clip(str(n), 20)} variables lists"
+    if count is None or count > MAX_NODES:
+        shown = "more than 10^18" if count is None else str(count)
+        raise ValidationError(f"{where} {shown} monomials, past the limit of {MAX_NODES:,}")
+    if n * count > MAX_EXPONENTS:
+        raise ValidationError(f"{where} {count} monomials of {clip(str(n), 20)} exponents, "
+                              f"past the limit of {MAX_EXPONENTS:,} exponents")
 
 
 def paired_count(n: int, lam: int, g: int) -> int:

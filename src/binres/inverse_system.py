@@ -9,7 +9,8 @@ k-th Hilbert-function value of R/Ann(F).
 Catalecticants are built from the form's own terms: a term t with coefficient
 c gives the entry c * prod(t_i!) at (u, t - u) for each u <= t of degree k, so
 only the few entries the form fills are made.  Every rank and kernel here is
-one sparse exact elimination (`linalg.sparse_eliminate`).  Cat_{d-k} is the
+one sparse exact elimination (`linalg.sparse_eliminate`), which tracks row
+combinations only for `ann_basis`'s kernel.  Cat_{d-k} is the
 transpose of Cat_k, so the Hilbert function is eliminated for k <= d/2 and
 mirrored.  A monomial whose row is zero annihilates F as it stands, and the
 rest of Ann_k is the left kernel of the nonzero rows.  Ann_k = R_k for every
@@ -202,7 +203,7 @@ def catalecticant_hilbert(form: XPoly) -> tuple[int, ...]:
     """
     _check_form(form)
     d = form.degree()
-    half = [sparse_eliminate(list(_catalecticant_rows(form, k).values()))[0]
+    half = [sparse_eliminate(list(_catalecticant_rows(form, k).values()), kernel=False)[0]
             for k in range(d // 2 + 1)]
     return tuple(half[min(k, d - k)] for k in range(d + 1))
 
@@ -245,7 +246,7 @@ def ann_generator_counts(form: XPoly) -> tuple[int, ...]:
         lifted = {tuple(row.items()): row for row in (
             {m[:i] + (m[i] + 1,) + m[i + 1:]: c for m, c in vec.items()}
             for vec in prev for i in range(n))}
-        counts.append(len(basis) - sparse_eliminate(list(lifted.values()))[0])
+        counts.append(len(basis) - sparse_eliminate(list(lifted.values()), kernel=False)[0])
         prev = basis
     return tuple(counts)
 

@@ -3,7 +3,7 @@
 Dense matrices here stay small (normal-form solves, Hessians, the oracle's
 spans), so plain rational Gaussian elimination is fine.  Catalecticants and
 annihilator lifts are mostly zero, so `sparse_eliminate` reduces them as dict
-rows instead.
+rows instead, tracking row combinations only when the left kernel is read.
 """
 from __future__ import annotations
 
@@ -68,36 +68,40 @@ def _subtract_multiple(target: dict, f: Fraction, source: dict) -> None:
             target[key] = x
 
 
-def sparse_eliminate(rows: list[dict]) -> tuple[int, list[dict[int, Fraction]]]:
-    """Rank of sparse rows over Q and a basis of their left kernel.
+def sparse_eliminate(rows: list[dict], kernel: bool = True
+                     ) -> tuple[int, list[dict[int, Fraction]]]:
+    """Rank of sparse rows over Q and, if kernel, a basis of their left kernel.
 
     A row maps column keys (any mutually comparable values) to nonzero int or
     Fraction entries.  Each row is reduced against the pivots found so far,
-    which are monic and keyed by their leading (smallest) column, while the
-    combination of input rows it has become is tracked.  A row left nonzero
-    becomes a pivot; a row that reduces to zero gives its combination
-    {row index: coefficient} as a left-kernel vector.  The rank is the number
-    of pivots, and the kernel vectors number len(rows) - rank.
+    which are monic and keyed by their leading (smallest) column.  A row left
+    nonzero becomes a pivot, and the rank is the number of pivots.  With
+    kernel, the combination of input rows each row has become is tracked, and
+    a row that reduces to zero gives its combination {row index: coefficient}
+    as a left-kernel vector; the kernel vectors number len(rows) - rank.
+    Without it nothing is tracked and the kernel list is empty.
     """
-    pivots: dict = {}  # leading column -> (monic row, its combination)
-    kernel: list[dict[int, Fraction]] = []
+    pivots: dict = {}  # leading column -> (monic row, its combination or None)
+    left: list[dict[int, Fraction]] = []
     for i, source in enumerate(rows):
         row = dict(source)
-        combo = {i: Fraction(1)}
+        combo = {i: Fraction(1)} if kernel else None
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 inv = 1 / Fraction(row[lead])
                 pivots[lead] = ({c: v * inv for c, v in row.items()},
-                                {r: v * inv for r, v in combo.items()})
+                                {r: v * inv for r, v in combo.items()} if kernel else None)
                 break
             f = row[lead]
             _subtract_multiple(row, f, pivot[0])
-            _subtract_multiple(combo, f, pivot[1])
+            if kernel:
+                _subtract_multiple(combo, f, pivot[1])
         else:
-            kernel.append(combo)
-    return len(pivots), kernel
+            if kernel:
+                left.append(combo)
+    return len(pivots), left
 
 
 def frac_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:

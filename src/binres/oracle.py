@@ -10,13 +10,22 @@ pivot value, since most pivots of C(lambda) repeat a raw a_j.
 
 Rank computations clear denominators and run vectorized Gaussian elimination
 mod two 30-bit primes (escalating to more primes, then to exact rational
-elimination, if they ever disagree; every escalation logs a WARNING).  A
-graded span keeps its nonzero positions once, and each of its rows holds only
-the scaled a_i and b_i of one generator, so reducing it mod p reduces those
-2n integers exactly, whatever their size, and scatters the residues into an
-int64 array.  Membership reduces the stacked vectors of all polynomials at
-once: each pivot updates, in one numpy step, every vector that is nonzero in
-its column.
+elimination, if they ever disagree; every escalation logs a WARNING).  For an
+integer matrix, rank mod p <= rank over Q <= min(rows, cols), so a full rank
+mod the first prime is certified by that prime alone; only a smaller rank is
+confirmed by a second.  A graded span keeps its nonzero positions once, and
+each of its rows holds only the scaled a_i and b_i of one generator, so
+reducing it mod p reduces those 2n integers exactly, whatever their size, and
+scatters the residues into an int64 array.  Membership eliminates the span
+once per prime and reduces the stacked vectors of all polynomials against it
+at once: each pivot updates, in one numpy step, every vector that is nonzero
+in its column.  A span of full column rank mod the first prime is all of
+R_lambda, so every polynomial is a member and no vector is reduced.
+
+The Hilbert function of R/I by ranks stops at the first degree where it is 0:
+I_lambda = R_lambda gives I_{lambda+1} ⊇ R_1 I_lambda = R_{lambda+1}, so every
+later degree is 0 too.  `quotient_dim` ranks degree 2n first, since the
+quotient is finite exactly when that degree is 0.
 """
 from __future__ import annotations
 
@@ -251,8 +260,14 @@ def _row_reduce_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[tuple[int
 
 
 def _rank(matrix: _IntMatrix) -> int:
-    """Rank over Q via multi-prime modular elimination."""
+    """Rank over Q via multi-prime modular elimination.
+
+    rank mod p <= rank over Q <= min(shape), so a full rank mod the first
+    prime needs no second one.
+    """
     r0 = len(_row_reduce_mod(matrix.mod(RANK_PRIMES[0]), RANK_PRIMES[0])[1])
+    if r0 == min(matrix.shape):
+        return r0
     for p in RANK_PRIMES[1:]:
         r1 = len(_row_reduce_mod(matrix.mod(p), p)[1])
         if r1 == r0:
@@ -275,17 +290,32 @@ def ideal_dim(system: BinomialSystem, lam: int) -> int:
     return _rank(_span(system, lam)[0])
 
 
-def quotient_dim(system: BinomialSystem) -> "int | None":
-    """Total dimension of R/I summed over degrees 0..2n; None if not Artinian
-    by degree 2n (the quotient is then infinite-dimensional for these ideals).
+def hilbert_by_ranks(system: BinomialSystem) -> tuple[int, ...]:
+    """dim (R/I)_lam for lam = 0..2n, by ranks of the graded spans.
+
+    Degrees after the first zero one are 0 (I_lam = R_lam gives
+    I_{lam+1} ⊇ R_1 I_lam = R_{lam+1}) and are not ranked.
     """
     n = system.n
     dims = []
-    for lam in range(0, 2 * n + 1):
+    for lam in range(2 * n + 1):
         dims.append(comb(n + lam - 1, lam) - ideal_dim(system, lam))
-    if dims[-1] != 0:
+        if not dims[-1]:
+            break
+    return tuple(dims) + (0,) * (2 * n + 1 - len(dims))
+
+
+def quotient_dim(system: BinomialSystem) -> "int | None":
+    """Total dimension of R/I summed over degrees 0..2n; None if not Artinian
+    by degree 2n (the quotient is then infinite-dimensional for these ideals).
+
+    Degree 2n settles None and is ranked first; otherwise the sum stops at
+    the first zero degree, which is n+1 for a complete intersection.
+    """
+    n = system.n
+    if ideal_dim(system, 2 * n) != comb(3 * n - 1, 2 * n):
         return None
-    return sum(dims)
+    return sum(hilbert_by_ranks(system))
 
 
 def _poly_vector(f: XPoly, basis_index: dict) -> dict[int, int]:
@@ -307,13 +337,17 @@ def membership_batch(system: BinomialSystem, lam: int, polys: list[XPoly]) -> li
         if f.mode != RATIONAL or (not f.is_zero() and (not f.is_homogeneous() or f.degree() != lam)):
             raise ValidationError(f"membership needs homogeneous degree-{lam} rational input")
         vectors.append(_poly_vector(f, index))
+    p0, p1 = RANK_PRIMES[:2]
+    a0, pivots0 = _row_reduce_mod(span.mod(p0), p0)
+    if len(pivots0) == len(basis):
+        # full column rank mod p is full rank over Q: I_lam = R_lam
+        return [True] * len(vectors)
     stacked = _IntMatrix.build((len(vectors), len(basis)), [
         (r, c, v) for r, vec in enumerate(vectors) for c, v in vec.items()])
 
-    def reduce_all(p: int) -> list[bool]:
+    def reduce_all(p: int, a: np.ndarray, pivots: list[tuple[int, int]]) -> list[bool]:
         # the vectors reduce independently, so each pivot updates every
         # vector that is nonzero in its column at once
-        a, pivots = _row_reduce_mod(span.mod(p), p)
         v = stacked.mod(p)
         for pr, pc in pivots:
             hit = v[:, pc].nonzero()[0]
@@ -321,8 +355,8 @@ def membership_batch(system: BinomialSystem, lam: int, polys: list[XPoly]) -> li
                 v[hit, pc:] = (v[hit, pc:] - v[hit, pc][:, None] * a[pr, pc:][None, :]) % p
         return (~v.any(axis=1)).tolist()
 
-    first = reduce_all(RANK_PRIMES[0])
-    second = reduce_all(RANK_PRIMES[1])
+    first = reduce_all(p0, a0, pivots0)
+    second = reduce_all(p1, *_row_reduce_mod(span.mod(p1), p1))
     if first == second:
         return first
     logger.warning("membership disagreement between primes; exact fallback")

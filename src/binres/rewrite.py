@@ -148,7 +148,8 @@ def hilbert_function(system: BinomialSystem) -> tuple[int, ...]:
     whose Hilbert function is the binomial row (degrees 0..n).  `delta_chain`
     checks that radical(Delta_lambda) divides radical(Delta_{lambda+1}), so
     some Delta_lambda, lambda = 2..n+1, vanishes exactly when Delta_{n+1}
-    does.  Otherwise falls back to oracle ranks over degrees 0..2n.
+    does.  Otherwise falls back to the oracle's ranks over degrees 0..2n,
+    which stop at the first zero degree (`oracle.hilbert_by_ranks`).
     """
     if system.mode != RATIONAL:
         raise ValidationError("hilbert_function needs a specialized system")
@@ -156,7 +157,6 @@ def hilbert_function(system: BinomialSystem) -> tuple[int, ...]:
     top = _symbolic_chain(system.symbolic_twin()).delta(n + 1)
     if not top.vanishes_at(system.assignment()):
         return tuple(comb(n, k) for k in range(n + 1))
-    from .oracle import ideal_dim
+    from .oracle import hilbert_by_ranks
 
-    return tuple(comb(n + lam - 1, lam) - ideal_dim(system, lam)
-                 for lam in range(0, 2 * n + 1))
+    return hilbert_by_ranks(system)

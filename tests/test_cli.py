@@ -413,6 +413,16 @@ def test_delta_refuses_an_oversized_lambda():
     assert "70058751 monomials, past the limit" in err and len(err) < 200
 
 
+@pytest.mark.parametrize("lam, message", [
+    ("1000000", "more than 10^18 monomials, past the limit"),
+    ("1", "1000000 monomials of 1000000 exponents, past the limit"),
+])
+def test_frames_refuses_a_huge_listing(lam, message):
+    code, out, err = run_cli("frames", "--n", "1000000", "--lambda", lam)
+    assert code == 1 and out == ""
+    assert message in err and len(err) < 200
+
+
 def test_frames_full_listing():
     code, out, _ = run_cli("frames", "--n", "2", "--lambda", "1", "--full")
     assert code == 0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import time
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -12,6 +14,7 @@ from binres.det_factor import decompose
 from binres import frames
 from binres.errors import ValidationError
 from binres.frames import (
+    MAX_EXPONENTS,
     MAX_NODES,
     build_column_frame,
     build_frame,
@@ -224,3 +227,31 @@ def test_the_node_limit_counts_the_square_free_monomials_of_a_frame(monkeypatch)
     monkeypatch.setattr(frames, "MAX_NODES", 100)
     with pytest.raises(ValidationError, match="210 monomials, past the limit"):
         build_frame(20, 2)
+
+
+def test_the_monomial_count_is_exact_below_its_cap():
+    for n in range(1, 25):
+        for lam in range(0, 40):
+            want = comb(n + lam - 1, lam)
+            assert frames._monomial_count(n, lam) == (want if want <= 10 ** 18 else None)
+
+
+@pytest.mark.parametrize("n, lam, message", [
+    # C(1999999, 1000000) is never computed: the count stops past 10^18
+    (10 ** 6, 10 ** 6, "lists more than 10^18 monomials, past the limit of 1,000,000"),
+    (10 ** 100, 10 ** 100, "lists more than 10^18 monomials, past the limit"),
+    # a million monomials of a million exponents each
+    (10 ** 6, 1, "1000000 monomials of 1000000 exponents, past the limit of 10,000,000"),
+    (10 ** 9, 0, "1 monomials of 1000000000 exponents, past the limit"),
+], ids=["comb", "googol", "degree_1", "degree_0"])
+def test_a_huge_listing_is_refused_at_once(n, lam, message):
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        frames._check_node_budget(n, lam)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_exponent_limit_lets_every_resultant_up_to_n_11_through():
+    assert 11 * comb(22, 12) == 7_113_106 <= MAX_EXPONENTS
+    for n in range(2, 12):
+        frames._check_node_budget(n, n + 1)

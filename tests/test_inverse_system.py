@@ -316,6 +316,17 @@ def test_sparse_eliminate_rank_and_left_kernel(rng):
             assert all(sum(c * dense[i][j] for i, c in vec.items()) == 0 for j in range(ncols))
 
 
+def test_sparse_eliminate_without_kernel_tracks_nothing(rng):
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        rows = [{j: v for j in range(ncols)
+                 if (v := rng.choice([0, 0, 1, -2, Fraction(3, 2)]))}
+                for _ in range(rng.randint(0, 7))]
+        rows += rows[:2]
+        rank = sparse_eliminate(rows)[0]
+        assert sparse_eliminate(rows, kernel=False) == (rank, [])
+
+
 def test_hilbert_depends_only_on_locus(rng):
     # a few samples here; the acceptance suite runs many more per side
     for _ in range(3):

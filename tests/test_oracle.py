@@ -359,3 +359,117 @@ def test_det_mod_equals_frac_det(rng):
                 smatrix = build_c(spec, lam, order)
                 ctx = ctx_with(repeated)
                 assert det_mod(smatrix, ctx) == _det_under(smatrix, {}, ctx.prime)
+
+
+# -- one-prime certificates and early-stopped Hilbert functions --------------
+
+def test_int_rank_is_not_certified_by_a_prime_that_loses_rank():
+    # the first prime divides an entry, so its rank is short and the second
+    # prime decides
+    p = RANK_PRIMES[0]
+    assert int_rank([[p]]) == 1
+    assert int_rank([[p, 0], [0, 1]]) == 2
+
+
+def _count_reductions(monkeypatch) -> list:
+    calls = []
+    real = oracle._row_reduce_mod
+
+    def reduce(mat, p):
+        calls.append(p)
+        return real(mat, p)
+
+    monkeypatch.setattr(oracle, "_row_reduce_mod", reduce)
+    return calls
+
+
+def test_a_full_rank_needs_one_prime_and_a_deficient_one_two(rng, monkeypatch):
+    system = _complete_intersection(3, rng)
+    full, _ = span_rows(system, 4)  # 18 x 15, of full column rank
+    deficient = [[1, 2, 3], [2, 4, 6], [0, 0, 5]]
+    calls = _count_reductions(monkeypatch)
+    assert int_rank(full) == 15
+    assert calls == [RANK_PRIMES[0]]
+    calls.clear()
+    assert int_rank(deficient) == 2
+    assert calls == list(RANK_PRIMES[:2])
+
+
+def test_membership_against_a_full_span_needs_one_elimination(rng, monkeypatch):
+    for n in (3, 4):
+        system = _complete_intersection(n, rng)
+        lam = n + 1
+        # I_{n+1} = R_{n+1}: square-free monomials of degree n+1 do not exist
+        polys = [XPoly.zero(n), _member(system, lam, rng)]
+        polys += [XPoly(n, RATIONAL, {m: Fraction(3, 2)}) for m in monomials(n, lam)[::7]]
+        calls = _count_reductions(monkeypatch)
+        assert membership_batch(system, lam, polys) == [True] * len(polys)
+        assert calls == [RANK_PRIMES[0]]
+        # below n + 1 the span is not full, so both primes answer
+        calls.clear()
+        assert membership_batch(system, n, [_squarefree(n, n, rng)]) == [False]
+        assert calls == list(RANK_PRIMES[:2])
+        monkeypatch.undo()
+
+
+def _factor_root(n: int, rng):
+    """A specialization at a rational root of one binomial factor of the
+    resultant: a parameter of exponent 1 on the pure-a side is solved for."""
+    while True:
+        system = random_system(n, rng)
+        values = {f"a{i}": Fraction(rng.randint(1, 5), rng.randint(1, 3)) for i in range(1, n + 1)}
+        values |= {f"b{i}": Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                   for i in range(1, n + 1)}
+        names = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
+        for factor, _ in resultant_module.resultant(system).factors:
+            pos = next((q for q, e in enumerate(factor.a_part)
+                        if e == 1 and not factor.b_part[q]), None)
+            if pos is None:
+                continue
+            rest = Fraction(1)
+            for q, e in enumerate(factor.a_part):
+                if q != pos:
+                    rest *= values[names[q]] ** e
+            other = Fraction(1)
+            for q, e in enumerate(factor.b_part):
+                other *= values[names[q]] ** e
+            values[names[pos]] = -factor.sign * other / rest
+            return system.specialize(values)
+
+
+def _quotient_dim_reference(system):
+    """Sum of dim (R/I)_lam over every degree 0..2n, each an exact rank."""
+    n = system.n
+    dims = []
+    for lam in range(2 * n + 1):
+        rows, basis = span_rows(system, lam)
+        dims.append(len(basis) - frac_rank([[Fraction(v) for v in row] for row in rows]))
+    return None if dims[-1] else sum(dims)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quotient_dim_equals_the_sum_over_every_degree(n, rng):
+    zero_a1 = random_specialization(random_system(n, rng), rng)
+    zero_a1 = zero_a1.symbolic_twin().specialize(zero_a1.assignment() | {"a1": Fraction(0)})
+    cases = [_complete_intersection(n, rng), zero_a1, _factor_root(n, rng)]
+    assert resultant_eval(cases[0]) != 0
+    assert resultant_eval(cases[1]) == resultant_eval(cases[2]) == 0
+    assert [quotient_dim(s) for s in cases] == [_quotient_dim_reference(s) for s in cases]
+    assert quotient_dim(cases[0]) == 2 ** n
+
+
+def test_the_ranks_stop_at_the_first_zero_degree(rng, monkeypatch):
+    n = 4
+    ci = _complete_intersection(n, rng)
+    ranked = []
+    real = oracle.ideal_dim
+    monkeypatch.setattr(oracle, "ideal_dim", lambda s, lam: ranked.append(lam) or real(s, lam))
+    assert oracle.hilbert_by_ranks(ci) == tuple(comb(n, k) for k in range(n + 1)) + (0,) * n
+    assert ranked == list(range(n + 2))
+    ranked.clear()
+    assert quotient_dim(ci) == 2 ** n
+    assert ranked == [2 * n] + list(range(n + 2))
+    # a quotient that is not Artinian is settled by degree 2n alone
+    ranked.clear()
+    assert quotient_dim(_factor_root(n, rng)) is None
+    assert ranked == [2 * n]
