@@ -5,8 +5,18 @@ machinery it is used to verify.
 
 Determinants run over a fixed 62-bit prime with general sparse elimination in
 pure Python.  The residue of an entry is computed once per distinct
-(kind, index, sign, value), and the inverse of a pivot once per distinct
-pivot value, since most pivots of C(lambda) repeat a raw a_j.
+(kind, index, sign, value).  Elimination is division-free: each target row is
+scaled by the pivot, and the scalings are divided out by one inverse at the
+end.  The first call on a matrix records the elimination's row operations as
+a plan of flat integer arrays, and a later call on the same matrix replays
+them at its point: 2n residues, then the recorded updates, with no pivot
+search, dict or set.  The same operations give the same determinant whenever
+every pivot is nonzero, so the replay is exact.  An elimination that met a
+zero residue, two entries in one cell or an entry that cancelled leaves no
+plan, since its steps depend on the point; the next call eliminates again.
+A replay that meets a zero residue or pivot (a point on a circuit factor, a
+zero parameter, a small prime) eliminates in full instead.  A plan lives
+exactly as long as its matrix.
 
 Rank computations clear denominators and run vectorized Gaussian elimination
 mod two 30-bit primes (escalating to more primes, then to exact rational
@@ -24,13 +34,17 @@ R_lambda, so every polynomial is a member and no vector is reduced.
 
 The Hilbert function of R/I by ranks stops at the first degree where it is 0:
 I_lambda = R_lambda gives I_{lambda+1} ⊇ R_1 I_lambda = R_{lambda+1}, so every
-later degree is 0 too.  `quotient_dim` ranks degree 2n first, since the
-quotient is finite exactly when that degree is 0.
+later degree is 0 too.  `quotient_dim` ranks degree n+1 first: when it is 0
+the quotient is finite and its dimension is the sum of degrees 0..n, as for
+every complete intersection.  Otherwise degree 2n settles whether it is
+finite.
 """
 from __future__ import annotations
 
 import logging
 import random
+import weakref
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
@@ -71,18 +85,16 @@ class ModularContext:
                 [self.assignment[f"b{i}"] for i in range(1, n + 1)])
 
 
-def _entry_residue(entry, assignment: dict[str, int], p: int) -> int:
-    if entry.value is not None:
-        num, den = entry.value.numerator, entry.value.denominator
-        return num % p * pow(den % p, -1, p) % p
-    return entry.sign % p * (assignment[f"{entry.kind}{entry.index}"] % p) % p
+def _residue(key: tuple, assignment: dict[str, int], p: int) -> int:
+    """Residue of an entry with key (kind, index, sign, value) at the point."""
+    kind, index, sign, value = key
+    if value is not None:
+        return value.numerator % p * pow(value.denominator % p, -1, p) % p
+    return sign % p * (assignment[f"{kind}{index}"] % p) % p
 
 
-def _matching_parity(match: dict[int, int]) -> int:
-    rows = sorted(match)
-    cols = [match[r] for r in rows]
-    rank = {c: i for i, c in enumerate(sorted(cols))}
-    perm = [rank[c] for c in cols]
+def _parity(perm: list[int]) -> int:
+    """The sign of a permutation of 0..len(perm)-1."""
     seen = [False] * len(perm)
     sign = 1
     for i in range(len(perm)):
@@ -98,31 +110,109 @@ def _matching_parity(match: dict[int, int]) -> int:
     return sign
 
 
-def det_mod(matrix, ctx: ModularContext) -> int:
-    """Determinant of the specialized matrix by sparse elimination mod p."""
-    if matrix.nrows != matrix.ncols:
-        raise ValidationError("det_mod needs a square matrix")
+# the slot that always holds 0: a row scaled by its pivot, with nothing
+# subtracted, reads it
+_ZERO = -1
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The row operations of one sparse elimination of a matrix, replayed at
+    other points.
+
+    Values live in slots: slot k < len(entry_keys) holds entry k, whose
+    residue is that of keys[entry_keys[k]]; later slots are fill-in and start
+    at 0, and the last slot is 0 for good.  Step k reads its pivot from slot
+    pivots[k] and runs the ops u from ends[k-1] (0 for the first step) up to
+    ends[k], each setting slot dst[u] to
+    pivot * slot dst[u] - slot tgt[u] * slot src[u]: a target row is scaled
+    by the pivot and loses its pivot-column entry (slot tgt[u]) times the
+    pivot row.  The determinant is sign * prod(pivot ** exps[k]) *
+    prod(residue ** powers): a pivot that scaled t rows has exponent 1 - t,
+    and `powers` counts, per key, the pivots that no op touches, which take
+    no step.
+    """
+    keys: tuple
+    entry_keys: array
+    nslots: int
+    powers: array
+    pivots: array
+    exps: array
+    ends: array
+    dst: array
+    tgt: array
+    src: array
+    sign: int
+
+    def replay(self, ctx: ModularContext) -> int:
+        """The determinant at ctx's point, or 0 when a residue or a pivot is
+        0 there and the steps prove nothing."""
+        p = ctx.prime
+        residues = [_residue(key, ctx.assignment, p) for key in self.keys]
+        if not all(residues):
+            return 0
+        num = den = 1
+        for r, e in zip(residues, self.powers):
+            num = num * pow(r, e, p) % p
+        vals = [residues[k] for k in self.entry_keys]
+        vals.extend([0] * (self.nslots - len(vals)))
+        dst, tgt, src = self.dst, self.tgt, self.src
+        start = 0
+        for slot, e, end in zip(self.pivots, self.exps, self.ends):
+            pv = vals[slot]
+            if not pv:
+                return 0
+            if e == 1:
+                num = num * pv % p
+            elif e:
+                den = den * pow(pv, -e, p) % p
+            for u in range(start, end):
+                d = dst[u]
+                vals[d] = (pv * vals[d] - vals[tgt[u]] * vals[src[u]]) % p
+            start = end
+        return self.sign * num * pow(den, -1, p) % p
+
+
+def _eliminate(matrix, ctx: ModularContext) -> "tuple[int, _Plan | None]":
+    """Determinant of the matrix mod p by sparse elimination, and the plan of
+    its steps.
+
+    Elimination is division-free: a target row is scaled by the pivot before
+    the pivot row is subtracted, and the scalings are divided out once at
+    the end.  The plan is None when the steps depend on the point: an entry
+    was 0 mod p, two entries shared a cell, an entry cancelled to 0 or a
+    column ran out of rows.
+    """
     p = ctx.prime
     size = matrix.nrows
-    if size == 0:
-        return 1 % p
-    # an entry's residue depends only on (kind, index, sign, value), and most
-    # pivots repeat a raw a_j, so both are computed once per distinct value
-    residues: dict[tuple, int] = {}
-    inverses: dict[int, int] = {}
-    rows: list[dict[int, int]] = [dict() for _ in range(size)]
+    # an entry's residue depends only on (kind, index, sign, value), so it is
+    # computed once per distinct key
+    keys: dict[tuple, int] = {}
+    residues: list[int] = []
+    entry_keys: list[int] = []
+    vals: list[int] = []                                        # slot -> value
+    rows: list[dict[int, int]] = [dict() for _ in range(size)]  # col -> slot
+    clean = True
     for e in matrix.entries:
         key = (e.kind, e.index, e.sign, e.value)
-        v = residues.get(key)
-        if v is None:
-            v = residues[key] = _entry_residue(e, ctx.assignment, p)
-        if v:
-            row = rows[e.row]
-            s = (row.get(e.col, 0) + v) % p
-            if s:
-                row[e.col] = s
-            else:
+        k = keys.get(key)
+        if k is None:
+            k = keys[key] = len(residues)
+            residues.append(_residue(key, ctx.assignment, p))
+        entry_keys.append(k)
+        v = residues[k]
+        row = rows[e.row]
+        slot = row.get(e.col)
+        if slot is not None:
+            clean = False
+            vals[slot] = (vals[slot] + v) % p
+            if not vals[slot]:
                 del row[e.col]
+        elif v:
+            row[e.col] = len(vals)
+            vals.append(v)
+        else:
+            clean = False
     # rows hold no zeros, so col_rows[c] is the set of rows with an entry in
     # column c; active rows never hold an entry left of the current column
     col_rows: list[set[int]] = [set() for _ in range(size)]
@@ -130,39 +220,113 @@ def det_mod(matrix, ctx: ModularContext) -> int:
         for c in row:
             col_rows[c].add(r)
 
-    det = 1
-    pivots: dict[int, int] = {}
+    num = den = 1
+    perm: list[int] = []    # the pivot row of each column
     active = [True] * size
+    pivots: list[int] = []
+    exps: list[int] = []
+    ends: list[int] = []
+    ops: list[int] = []     # (dst, tgt, src) triples, flat
     for col in range(size):
         live = [r for r in col_rows[col] if active[r]]
-        if not live:
-            return 0
-        piv = min(live, key=lambda r: (len(rows[r]), r)) if len(live) > 1 else live[0]
+        if len(live) == 1:
+            piv = live[0]
+        elif live:
+            piv = min(live, key=lambda r: (len(rows[r]), r))
+        else:
+            return 0, None
         active[piv] = False
-        pivots[piv] = col
+        perm.append(piv)
         prow = rows[piv]
-        pval = prow[col]
-        det = det * pval % p
-        inv = inverses.get(pval)
-        if inv is None:
-            inv = inverses[pval] = pow(pval, -1, p)
-        rest = [(c, v) for c, v in prow.items() if c != col]
+        pslot = prow[col]
+        pv = vals[pslot]
+        pivots.append(pslot)
+        exps.append(2 - len(live))
+        if len(live) == 1:
+            num = num * pv % p
+            ends.append(len(ops))
+            continue
+        if len(live) > 2:
+            den = den * pow(pv, len(live) - 2, p) % p
+        rest = {c: s for c, s in prow.items() if c != col}
+        cancelled = []
         for r in live:
             if r == piv:
                 continue
             row = rows[r]
-            f = row.pop(col) * inv % p
-            for c, v in rest:
-                # f * v is a unit mod p, so a zero result means c was present
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    if c not in row:
-                        col_rows[c].add(r)
-                    row[c] = nv
+            t = row.pop(col)
+            f = vals[t]
+            for c, d in row.items():
+                s = rest.get(c)
+                if s is None:
+                    vals[d] = pv * vals[d] % p
+                    ops += (d, t, _ZERO)
                 else:
-                    del row[c]
-                    col_rows[c].discard(r)
-    return det * _matching_parity(pivots) % p
+                    vals[d] = (pv * vals[d] - f * vals[s]) % p
+                    ops += (d, t, s)
+                    if not vals[d]:
+                        cancelled.append((r, c))
+            for c, s in rest.items():
+                if c not in row:
+                    # f * v is a unit mod p, so fill-in is never 0
+                    d = row[c] = len(vals)
+                    vals.append(-f * vals[s] % p)
+                    col_rows[c].add(r)
+                    ops += (d, t, s)
+        for r, c in cancelled:
+            del rows[r][c]
+            col_rows[c].discard(r)
+            clean = False
+        ends.append(len(ops))
+    sign = _parity(perm)
+    det = sign * num * pow(den, -1, p) % p
+    if not clean:
+        return det, None
+    # a pivot that no op touches and that scales no row holds its entry's
+    # residue; its column becomes a power of that residue, not a step
+    written = set(ops[0::3])
+    powers = array("i", [0] * len(keys))
+    steps = []
+    for k, slot in enumerate(pivots):
+        if exps[k] == 1 and slot not in written:
+            powers[entry_keys[slot]] += 1
+        else:
+            steps.append(k)
+    return det, _Plan(tuple(keys), array("i", entry_keys), len(vals) + 1, powers,
+                      array("i", [pivots[k] for k in steps]), array("i", [exps[k] for k in steps]),
+                      array("i", [ends[k] // 3 for k in steps]), array("i", ops[0::3]),
+                      array("i", ops[1::3]), array("i", ops[2::3]), sign)
+
+
+# id(matrix) -> its plan; an entry is removed when its matrix is collected
+_PLANS: dict[int, _Plan] = {}
+
+
+def det_mod(matrix, ctx: ModularContext) -> int:
+    """Determinant of the specialized matrix by sparse elimination mod p.
+
+    An elimination that leaves a plan records it for the matrix, and later
+    calls replay it at their point.  A replay that meets a zero residue or
+    pivot proves nothing, and that call eliminates in full.  A plan lives
+    exactly as long as its matrix; a matrix whose entries are not a tuple,
+    or that cannot be weakly referenced, is eliminated afresh every time.
+    """
+    if matrix.nrows != matrix.ncols:
+        raise ValidationError("det_mod needs a square matrix")
+    if matrix.nrows == 0:
+        return 1 % ctx.prime
+    key = id(matrix)
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan.replay(ctx) or _eliminate(matrix, ctx)[0]
+    det, plan = _eliminate(matrix, ctx)
+    if plan is not None and isinstance(matrix.entries, tuple):
+        try:
+            weakref.finalize(matrix, _PLANS.pop, key, None)
+        except TypeError:
+            return det
+        _PLANS[key] = plan
+    return det
 
 
 # --------------------------------------------------------------------------
@@ -290,29 +454,39 @@ def ideal_dim(system: BinomialSystem, lam: int) -> int:
     return _rank(_span(system, lam)[0])
 
 
+def _dims_to_first_zero(system: BinomialSystem, last: int) -> list[int]:
+    """dim (R/I)_lam for lam = 0..last, by ranks of the graded spans, up to
+    and including the first zero degree."""
+    dims = []
+    for lam in range(last + 1):
+        dims.append(comb(system.n + lam - 1, lam) - ideal_dim(system, lam))
+        if not dims[-1]:
+            break
+    return dims
+
+
 def hilbert_by_ranks(system: BinomialSystem) -> tuple[int, ...]:
     """dim (R/I)_lam for lam = 0..2n, by ranks of the graded spans.
 
     Degrees after the first zero one are 0 (I_lam = R_lam gives
     I_{lam+1} ⊇ R_1 I_lam = R_{lam+1}) and are not ranked.
     """
-    n = system.n
-    dims = []
-    for lam in range(2 * n + 1):
-        dims.append(comb(n + lam - 1, lam) - ideal_dim(system, lam))
-        if not dims[-1]:
-            break
-    return tuple(dims) + (0,) * (2 * n + 1 - len(dims))
+    dims = _dims_to_first_zero(system, 2 * system.n)
+    return tuple(dims) + (0,) * (2 * system.n + 1 - len(dims))
 
 
 def quotient_dim(system: BinomialSystem) -> "int | None":
     """Total dimension of R/I summed over degrees 0..2n; None if not Artinian
     by degree 2n (the quotient is then infinite-dimensional for these ideals).
 
-    Degree 2n settles None and is ranked first; otherwise the sum stops at
-    the first zero degree, which is n+1 for a complete intersection.
+    Degree n+1 is ranked first: when it is 0, so is every later degree, and
+    the sum runs over degrees 0..n, as for a complete intersection.
+    Otherwise degree 2n settles None, and the sum stops at the first zero
+    degree.
     """
     n = system.n
+    if ideal_dim(system, n + 1) == comb(2 * n, n + 1):
+        return sum(_dims_to_first_zero(system, n))
     if ideal_dim(system, 2 * n) != comb(3 * n - 1, 2 * n):
         return None
     return sum(hilbert_by_ranks(system))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -361,6 +362,119 @@ def test_det_mod_equals_frac_det(rng):
                 assert det_mod(smatrix, ctx) == _det_under(smatrix, {}, ctx.prime)
 
 
+# -- record once, replay per point ---------------------------------------------
+
+def _count_eliminations(monkeypatch) -> list:
+    """Every full elimination det_mod runs, counted."""
+    calls = []
+    real = oracle._eliminate
+
+    def eliminate(matrix, ctx):
+        calls.append(ctx.prime)
+        return real(matrix, ctx)
+
+    monkeypatch.setattr(oracle, "_eliminate", eliminate)
+    return calls
+
+
+def _cycle_degeneracy() -> Square:
+    """det = a1 a2 (a3 a4 - b3 b4)."""
+    return Square.from_triples(4, 4, [
+        (0, 0, "a", 1), (0, 3, "b", 1),
+        (1, 1, "a", 2), (1, 3, "b", 2),
+        (2, 2, "a", 3), (2, 3, "b", 3),
+        (3, 2, "b", 4), (3, 3, "a", 4),
+    ])
+
+
+def test_det_mod_eliminates_once_per_matrix(rng, monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    for n in (3, 4):
+        matrix = build_c(random_system(n, rng), n + 1)
+        calls.clear()
+        for k in range(6):
+            ctx = ModularContext.random(n, rng.randrange(1 << 30))
+            assert det_mod(matrix, ctx) == _det_under(matrix, ctx.assignment, ctx.prime)
+            assert len(calls) == 1
+        assert id(matrix) in oracle._PLANS
+
+
+def test_a_replay_on_a_circuit_factor_falls_back_to_zero(monkeypatch):
+    matrix = _cycle_degeneracy()
+    calls = _count_eliminations(monkeypatch)
+    generic = ctx_with({"a1": 2, "a2": 3, "a3": 5, "a4": 7, "b1": 11, "b2": 13, "b3": 17, "b4": 19})
+    assert det_mod(matrix, generic) == 2 * 3 * (5 * 7 - 17 * 19) % DEFAULT_PRIME
+    assert id(matrix) in oracle._PLANS
+    # a3 a4 = b3 b4: the last pivot is 0, so the replay proves nothing
+    on_factor = ctx_with({"a1": 2, "a2": 3, "a3": 6, "a4": 7, "b1": 11, "b2": 13, "b3": 21, "b4": 2})
+    assert det_mod(matrix, on_factor) == 0
+    assert len(calls) == 2
+
+
+def test_a_replay_at_a_zero_parameter_falls_back(rng, monkeypatch):
+    n = 3
+    matrix = build_c(random_system(n, rng), n + 1)
+    calls = _count_eliminations(monkeypatch)
+    det_mod(matrix, ModularContext.random(n, 1))
+    ctx = ModularContext.random(n, 2)
+    ctx.assignment["a1"] = 0
+    assert det_mod(matrix, ctx) == _det_under(matrix, ctx.assignment, ctx.prime)
+    assert len(calls) == 2
+
+
+def test_an_elimination_with_a_cancellation_leaves_no_plan():
+    # [[a1, b1, 0], [a2, b2, a3], [0, b3, b4]]: eliminating column 0 cancels
+    # the (1, 1) entry when a1 b2 = a2 b1; det = -a3 b3 there
+    matrix = Square.from_triples(4, 3, [
+        (0, 0, "a", 1), (0, 1, "b", 1),
+        (1, 0, "a", 2), (1, 1, "b", 2), (1, 2, "a", 3),
+        (2, 1, "b", 3), (2, 2, "b", 4),
+    ])
+    ctx = ctx_with({"a1": 1, "a2": 1, "a3": 5, "a4": 1, "b1": 1, "b2": 1, "b3": 7, "b4": 3})
+    assert det_mod(matrix, ctx) == -35 % DEFAULT_PRIME
+    assert id(matrix) not in oracle._PLANS
+    # the next elimination, at a point without cancellation, records one
+    ctx = ctx_with({"a1": 2, "a2": 1, "a3": 5, "a4": 1, "b1": 1, "b2": 1, "b3": 7, "b4": 3})
+    assert det_mod(matrix, ctx) == _det_under(matrix, ctx.assignment, ctx.prime)
+    assert id(matrix) in oracle._PLANS
+
+
+def test_a_plan_lives_as_long_as_its_matrix(rng):
+    before = len(oracle._PLANS)
+    matrix = build_c(random_system(3, rng), 4)
+    det_mod(matrix, ModularContext.random(3, 1))
+    key = id(matrix)
+    assert key in oracle._PLANS
+    del matrix
+    gc.collect()
+    assert key not in oracle._PLANS
+    assert len(oracle._PLANS) == before
+
+
+class _Slotted:
+    """A matrix that cannot be weakly referenced."""
+
+    __slots__ = ("n", "nrows", "ncols", "entries")
+
+    def __init__(self, square: Square):
+        self.n, self.nrows, self.ncols, self.entries = (square.n, square.nrows, square.ncols,
+                                                        square.entries)
+
+
+def test_matrices_without_plans_are_eliminated_every_time(monkeypatch):
+    square = _cycle_degeneracy()
+    listed = Square(square.n, square.nrows, list(square.entries))
+    ctx = ctx_with({"a1": 2, "a2": 3, "a3": 5, "a4": 7, "b1": 11, "b2": 13, "b3": 17, "b4": 19})
+    want = 2 * 3 * (5 * 7 - 17 * 19) % DEFAULT_PRIME
+    before = len(oracle._PLANS)
+    calls = _count_eliminations(monkeypatch)
+    for matrix in (_Slotted(square), listed):
+        calls.clear()
+        assert [det_mod(matrix, ctx) for _ in range(3)] == [want] * 3
+        assert len(calls) == 3
+    assert len(oracle._PLANS) == before
+
+
 # -- one-prime certificates and early-stopped Hilbert functions --------------
 
 def test_int_rank_is_not_certified_by_a_prime_that_loses_rank():
@@ -466,10 +580,12 @@ def test_the_ranks_stop_at_the_first_zero_degree(rng, monkeypatch):
     monkeypatch.setattr(oracle, "ideal_dim", lambda s, lam: ranked.append(lam) or real(s, lam))
     assert oracle.hilbert_by_ranks(ci) == tuple(comb(n, k) for k in range(n + 1)) + (0,) * n
     assert ranked == list(range(n + 2))
+    # (R/I)_{n+1} = 0 settles a complete intersection, and that degree is
+    # ranked once
     ranked.clear()
     assert quotient_dim(ci) == 2 ** n
-    assert ranked == [2 * n] + list(range(n + 2))
-    # a quotient that is not Artinian is settled by degree 2n alone
+    assert ranked == [n + 1] + list(range(n + 1))
+    # a quotient that is not Artinian is settled by degrees n+1 and 2n alone
     ranked.clear()
     assert quotient_dim(_factor_root(n, rng)) is None
-    assert ranked == [2 * n]
+    assert ranked == [n + 1, 2 * n]
