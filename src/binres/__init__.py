@@ -14,7 +14,6 @@ from .det_factor import BinomialFactor, FactoredPoly, decompose, factor_determin
 from .errors import (
     BinresError,
     DegenerateSampleError,
-    DegenerateSystemError,
     DegreeRangeError,
     DependentFormsError,
     GenericityExhaustedError,

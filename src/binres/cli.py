@@ -135,7 +135,7 @@ def _cmd_matrix(args) -> int:
     cols = matrix.col_labels()
     entries = [
         {"row": e.row, "col": e.col, "entry":
-            (f"{'' if e.sign > 0 else '-'}{e.kind}{e.index}" if e.value is None else str(e.value))}
+            (f"{e.kind}{e.index}" if e.value is None else str(e.value))}
         for e in matrix.entries
     ]
     payload = {"rows": rows, "columns": cols, "shape": [matrix.nrows, matrix.ncols],

@@ -2,9 +2,11 @@
 
 Row k of C'(lambda) holds the coefficients of m*f_j for the k-th row-frame
 pair (m, j): parameter a_j lands in the column m*x_j^2 (the paired column, so
-a-parameters fill the diagonal of C) and b_j in the column m*m_j.  C(lambda)
-is the square block over the non-square-free columns; b-entries whose column
-is square-free are dropped with it.
+a-parameters fill the diagonal of C) and b_j in the column m*m_j.  Every
+entry is a parameter with coefficient +1, or its value in a specialized
+system, so an entry carries no sign.  C(lambda) is the square block over the
+non-square-free columns; b-entries whose column is square-free are dropped
+with it.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ class MatrixEntry:
     col: int
     kind: str            # 'a' or 'b'
     index: int           # generator index, 1-based
-    sign: int = 1        # integer coefficient of the parameter (always +1 here)
     value: Fraction | None = None  # set in specialized mode
 
 
@@ -87,9 +88,9 @@ def _build(system: BinomialSystem, lam: int, order, square: bool) -> CoeffMatrix
         row = []
         if specialized:
             if gen.a != 0:
-                row.append(MatrixEntry(r, r, "a", j, 1, gen.a))
+                row.append(MatrixEntry(r, r, "a", j, gen.a))
             if gen.b != 0 and cb < ncols:
-                row.append(MatrixEntry(r, cb, "b", j, 1, gen.b))
+                row.append(MatrixEntry(r, cb, "b", j, gen.b))
         else:
             row.append(MatrixEntry(r, r, "a", j))
             if cb < ncols:

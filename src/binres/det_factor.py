@@ -23,7 +23,8 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .coeff_matrix import CoeffMatrix
-from .errors import InternalCheckError, ModeMismatchError, NonSquareMatrixError, ValidationError
+from .errors import (InternalCheckError, MissingParameterError, ModeMismatchError,
+                     NonSquareMatrixError, ValidationError)
 from .polynomials import Mono, ParamPoly, mono_str, param_names
 
 
@@ -67,9 +68,6 @@ class BinomialFactor:
     def degree(self) -> int:
         return max(sum(self.a_part), sum(self.b_part))
 
-    def as_parampoly(self) -> ParamPoly:
-        return ParamPoly(self.n, {self.a_part: 1, self.b_part: self.sign})
-
     def to_text(self, alias: str = "b") -> str:
         names = param_names(self.n, alias)
         op = "+" if self.sign > 0 else "-"
@@ -96,23 +94,22 @@ def circuit_factor(n: int, gens: Sequence[int]) -> BinomialFactor:
 
 
 class FactoredPoly:
-    """sign * parameter monomial * product of binomial factors (or zero).
+    """sign * parameter monomial * product of binomial factors.
 
     The expansion equals the source determinant exactly; `factors` is a
-    canonically sorted tuple of (BinomialFactor, multiplicity).
+    canonically sorted tuple of (BinomialFactor, multiplicity).  It is never
+    the zero polynomial: every row of C(lambda) holds its a_j on the diagonal
+    with coefficient +1 and its b_j off it, so the identity permutation, the
+    only one that picks no b_j, gives the term prod a_j with coefficient +1.
     """
 
-    __slots__ = ("n", "sign", "monomial", "factors", "zero")
+    __slots__ = ("n", "sign", "monomial", "factors")
 
     def __init__(self, n: int, sign: int = 1, monomial: Mono | None = None,
-                 factors: "Iterable[tuple[BinomialFactor, int]] | Mapping[BinomialFactor, int]" = (),
-                 zero: bool = False):
+                 factors: "Iterable[tuple[BinomialFactor, int]] | Mapping[BinomialFactor, int]" = ()):
         self.n = n
-        self.zero = zero
         if isinstance(factors, Mapping):
             factors = factors.items()
-        if zero:
-            sign, monomial, factors = 1, (0,) * (2 * n), ()
         self.sign = sign
         self.monomial: Mono = tuple(monomial) if monomial is not None else (0,) * (2 * n)
         self.factors: tuple[tuple[BinomialFactor, int], ...] = tuple(
@@ -121,26 +118,15 @@ class FactoredPoly:
                    reverse=True)
         )
 
-    @classmethod
-    def zero_poly(cls, n: int) -> "FactoredPoly":
-        return cls(n, zero=True)
-
-    def is_zero(self) -> bool:
-        return self.zero
-
     def factor_multiplicities(self) -> dict[BinomialFactor, int]:
         return dict(self.factors)
 
     def total_degree(self) -> int:
-        if self.zero:
-            return 0
         return sum(self.monomial) + sum(m * f.degree() for f, m in self.factors)
 
     def pair_degrees(self) -> tuple[int, ...]:
         """Degree in each generator's coefficient pair (a_i, b_i)."""
         n = self.n
-        if self.zero:
-            return (0,) * n
         degrees = [self.monomial[i] + self.monomial[n + i] for i in range(n)]
         for f, m in self.factors:
             for i in range(n):
@@ -149,49 +135,67 @@ class FactoredPoly:
 
     def expand(self) -> ParamPoly:
         """Multiply everything out (use on small factorizations only)."""
-        if self.zero:
-            return ParamPoly(self.n)
         out = ParamPoly(self.n, {self.monomial: self.sign})
         for f, mult in self.factors:
-            base = f.as_parampoly()
+            base = ParamPoly(self.n, {f.a_part: 1, f.b_part: f.sign})
             for _ in range(mult):
                 out = out * base
         return out
 
-    def specialize(self, assignment) -> Fraction:
-        if self.zero:
-            return Fraction(0)
-        v = ParamPoly(self.n, {self.monomial: self.sign}).specialize(assignment)
+    def _values(self, assignment) -> list:
+        """The values of a1..an, b1..bn; None for a parameter that the
+        assignment lacks, which raises MissingParameterError if used."""
+        names = param_names(self.n)
+        values = [assignment.get(name) for name in names]
+        for i, v in enumerate(values):
+            if v is None and (self.monomial[i]
+                              or any(f.a_part[i] or f.b_part[i] for f, _ in self.factors)):
+                raise MissingParameterError(f"assignment lacks {names[i]}")
+        return values
+
+    def _atoms(self, values: list, p: int | None = None):
+        """(value, exponent) of every atom at the parameter values: each a_j
+        or b_j with a positive exponent in the monomial, then each factor,
+        whose value is reduced mod p when p is given."""
+        def power_product(mono: Mono):
+            v = 1
+            for x, e in zip(values, mono):
+                if e:
+                    v *= pow(x, e, p)
+            return v
+
+        for x, e in zip(values, self.monomial):
+            if e:
+                yield x, e
         for f, mult in self.factors:
-            v *= f.as_parampoly().specialize(assignment) ** mult
+            v = power_product(f.a_part) + f.sign * power_product(f.b_part)
+            yield (v if p is None else v % p), mult
+
+    def specialize(self, assignment) -> Fraction:
+        v = Fraction(self.sign)
+        for x, e in self._atoms(self._values(assignment)):
+            v *= x ** e
         return v
 
     def vanishes_at(self, assignment) -> bool:
         """Whether specialize(assignment) == 0, read atom by atom: some a_j,
         b_j or circuit factor with a positive exponent evaluates to 0.  No
         power is expanded."""
-        if self.zero:
-            return True
-        atoms = tuple(min(e, 1) for e in self.monomial)
-        if ParamPoly(self.n, {atoms: 1}).specialize(assignment) == 0:
-            return True
-        return any(f.as_parampoly().specialize(assignment) == 0 for f, _ in self.factors)
+        return any(x == 0 for x, _ in self._atoms(self._values(assignment)))
 
     def eval_mod(self, avals: list[int], bvals: list[int], p: int) -> int:
-        if self.zero:
-            return 0
-        v = ParamPoly(self.n, {self.monomial: self.sign}).eval_mod(avals, bvals, p)
-        for f, mult in self.factors:
-            v = v * pow(f.as_parampoly().eval_mod(avals, bvals, p), mult, p) % p
+        v = self.sign % p
+        for x, e in self._atoms(list(avals) + list(bvals), p):
+            v = v * pow(x, e, p) % p
         return v
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FactoredPoly)
-                and (self.n, self.sign, self.monomial, self.factors, self.zero)
-                == (other.n, other.sign, other.monomial, other.factors, other.zero))
+                and (self.n, self.sign, self.monomial, self.factors)
+                == (other.n, other.sign, other.monomial, other.factors))
 
     def __hash__(self):
-        return hash((self.n, self.sign, self.monomial, self.factors, self.zero))
+        return hash((self.n, self.sign, self.monomial, self.factors))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -199,8 +203,6 @@ class FactoredPoly:
     __repr__ = __str__
 
     def to_text(self, alias: str = "b") -> str:
-        if self.zero:
-            return "0"
         parts = []
         if any(self.monomial):
             parts.append(mono_str(self.monomial, param_names(self.n, alias)))
@@ -215,8 +217,9 @@ class FactoredPoly:
         def split(mono: Mono) -> dict:
             return {"a": list(mono[: self.n]), "b": list(mono[self.n:])}
 
+        # "zero" stays, always false, so the --json layout is unchanged
         return {
-            "zero": self.zero,
+            "zero": False,
             "sign": self.sign,
             "monomial": split(self.monomial),
             "factors": [
@@ -254,7 +257,7 @@ def decompose(m: CoeffMatrix) -> Decomposition:
     succ: list[int | None] = [None] * size
     for e in m.entries:
         r = e.row
-        if e.index == gens[r] and e.sign == 1:
+        if e.index == gens[r]:
             if e.kind == "a" and e.col == r and not has_a[r]:
                 has_a[r] = True
                 continue

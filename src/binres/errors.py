@@ -58,10 +58,6 @@ class SingularCoeffMatrixError(BinresError):
         self.lam = lam
 
 
-class DegenerateSystemError(BinresError):
-    """A delta determinant vanished identically; the system is degenerate."""
-
-
 class DegreeRangeError(ValidationError):
     """Polynomial degree outside the range the operation supports."""
 

@@ -5,7 +5,7 @@ machinery it is used to verify.
 
 Determinants run over a fixed 62-bit prime with general sparse elimination in
 pure Python.  The residue of an entry is computed once per distinct
-(kind, index, sign, value).  Elimination is division-free: each target row is
+(kind, index, value).  Elimination is division-free: each target row is
 scaled by the pivot, and the scalings are divided out by one inverse at the
 end.  The first call on a matrix records the elimination's row operations as
 a plan of flat integer arrays, and a later call on the same matrix replays
@@ -86,11 +86,11 @@ class ModularContext:
 
 
 def _residue(key: tuple, assignment: dict[str, int], p: int) -> int:
-    """Residue of an entry with key (kind, index, sign, value) at the point."""
-    kind, index, sign, value = key
+    """Residue of an entry with key (kind, index, value) at the point."""
+    kind, index, value = key
     if value is not None:
         return value.numerator % p * pow(value.denominator % p, -1, p) % p
-    return sign % p * (assignment[f"{kind}{index}"] % p) % p
+    return assignment[f"{kind}{index}"] % p
 
 
 def _parity(perm: list[int]) -> int:
@@ -185,7 +185,7 @@ def _eliminate(matrix, ctx: ModularContext) -> "tuple[int, _Plan | None]":
     """
     p = ctx.prime
     size = matrix.nrows
-    # an entry's residue depends only on (kind, index, sign, value), so it is
+    # an entry's residue depends only on (kind, index, value), so it is
     # computed once per distinct key
     keys: dict[tuple, int] = {}
     residues: list[int] = []
@@ -194,7 +194,7 @@ def _eliminate(matrix, ctx: ModularContext) -> "tuple[int, _Plan | None]":
     rows: list[dict[int, int]] = [dict() for _ in range(size)]  # col -> slot
     clean = True
     for e in matrix.entries:
-        key = (e.kind, e.index, e.sign, e.value)
+        key = (e.kind, e.index, e.value)
         k = keys.get(key)
         if k is None:
             k = keys[key] = len(residues)
@@ -617,9 +617,11 @@ def run_selftest(seed: int = 0, n_max: int = 5) -> list[SelfTestRow]:
     """Cross-check the factorization engine against the oracles."""
     if n_max < 2:
         raise ValidationError(f"selftest needs n_max >= 2, got {n_max}")
-    from .frames import cyclic_orders
+    from .frames import _check_node_budget, cyclic_orders
     from .resultant import delta, delta_chain, divides, factored_gcd, radical, resultant
 
+    # the largest walk, C(n_max + 1), is refused before n = 2 runs
+    _check_node_budget(n_max, n_max + 1)
     rng = random.Random(seed)
     rows: list[SelfTestRow] = []
 

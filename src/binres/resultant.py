@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .det_factor import BinomialFactor, FactoredPoly, circuit_factor
-from .errors import DegenerateSystemError, InternalCheckError, ModeMismatchError, ValidationError
+from .errors import InternalCheckError, ModeMismatchError, ValidationError
 from .frames import check_order, cyclic_orders, paired_count, successor_walks
 from .polynomials import SYMBOLIC, normalize_assignment
 from .systems import BinomialSystem
@@ -87,8 +87,6 @@ def delta_chain(system: BinomialSystem, order=None) -> DeltaChain:
 
 def radical(f: FactoredPoly) -> FactoredPoly:
     """Clamp all exponents and multiplicities to 1; sign normalized to +1."""
-    if f.is_zero():
-        return f
     mono = tuple(min(e, 1) for e in f.monomial)
     factors = {fac: 1 for fac, _ in f.factors}
     return FactoredPoly(f.n, 1, mono, factors)
@@ -101,10 +99,6 @@ def divides(f: FactoredPoly, g: FactoredPoly) -> bool:
     Exact because every circuit factor is irreducible and distinct ones are
     coprime, which `det_factor.BinomialFactor` checks whenever one is built.
     """
-    if g.is_zero():
-        return True
-    if f.is_zero():
-        return False
     gfac = g.factor_multiplicities()
     return (all(ef <= eg for ef, eg in zip(f.monomial, g.monomial))
             and all(gfac.get(fac, 0) >= mult for fac, mult in f.factors))
@@ -115,37 +109,31 @@ def factored_gcd(polys: list[FactoredPoly]) -> FactoredPoly:
 
     Exact for the same reason as `divides`: the factorizations are unique
     because `det_factor.BinomialFactor` refuses a possibly reducible factor.
+    No FactoredPoly is zero, so no input needs the rule gcd(0, g) = g.
     """
     if not polys:
         raise ValidationError("gcd of nothing")
-    nonzero = [f for f in polys if not f.is_zero()]  # gcd(0, g) = g
-    if not nonzero:
-        return FactoredPoly.zero_poly(polys[0].n)
-    mono = list(nonzero[0].monomial)
-    factors = nonzero[0].factor_multiplicities()
-    for f in nonzero[1:]:
+    mono = list(polys[0].monomial)
+    factors = polys[0].factor_multiplicities()
+    for f in polys[1:]:
         mono = [min(a, b) for a, b in zip(mono, f.monomial)]
         other = f.factor_multiplicities()
         factors = {fac: min(m, other[fac]) for fac, m in factors.items() if fac in other}
-    return FactoredPoly(nonzero[0].n, 1, tuple(mono), factors)
+    return FactoredPoly(polys[0].n, 1, tuple(mono), factors)
 
 
 def resultant(system: BinomialSystem) -> FactoredPoly:
     """GCD of Delta_{n+1} over the n cyclic index orders, pure-a term +1.
 
-    The result is checked to have degree 2^(n-1) in each generator's
-    coefficient pair (a_i, b_i), as the resultant of n quadrics must.
+    It is never the zero polynomial: each Delta_{n+1} holds the term
+    prod a_j with coefficient +1 (`det_factor.FactoredPoly`), so it is
+    nonzero, and so is a GCD of nonzero polynomials.  The result is checked
+    to have degree 2^(n-1) in each generator's coefficient pair (a_i, b_i),
+    as the resultant of n quadrics must.
     """
     _require_symbolic(system)
     n = system.n
-    lam = n + 1
-    deltas = []
-    for o in cyclic_orders(n):
-        d = delta(system, lam, o)
-        if d.is_zero():
-            raise DegenerateSystemError(f"Delta_{lam} vanishes for order {o}")
-        deltas.append(d)
-    res = factored_gcd(deltas)
+    res = factored_gcd([delta(system, n + 1, o) for o in cyclic_orders(n)])
     if res.pair_degrees() != (2 ** (n - 1),) * n:
         raise InternalCheckError(f"resultant has degrees {res.pair_degrees()} in the pairs "
                                  f"(a_i, b_i), not {2 ** (n - 1)} each")

@@ -502,6 +502,21 @@ def test_selftest_rejects_small_n_max(n_max):
     assert "n_max >= 2" in err
 
 
+@pytest.mark.parametrize("n_max", ["12", "40"])
+def test_selftest_refuses_a_walk_past_the_limit_at_once(n_max, monkeypatch):
+    # the largest walk, C(n_max + 1), is checked before n = 2 draws a system
+    from binres import oracle
+
+    def no_work(*args):
+        raise AssertionError("selftest started work")
+
+    monkeypatch.setattr(oracle, "_random_system", no_work)
+    code, out, err = run_cli("selftest", "--n-max", n_max)
+    assert code == 1
+    assert "past the limit" in err and "Traceback" not in err
+    assert "checks passed" not in out
+
+
 @pytest.mark.parametrize("extra", [[], ["--point", "1,2,3,1,1"]])
 def test_hessian_rejects_negative_k(extra):
     code, out, err = run_cli("hessian", "--which", "G", "--p", "1,1,1,1,1", "--k", "-1", *extra)

@@ -20,7 +20,7 @@ from binres.errors import (
     NonSquareMatrixError,
     ValidationError,
 )
-from binres.frames import cyclic_orders, node_count
+from binres.frames import cyclic_orders, node_count, paired_count
 from binres.oracle import ModularContext, det_mod
 from binres.polynomials import ParamPoly, param_names
 from binres.resultant import delta
@@ -68,7 +68,7 @@ def brute_force_det(m) -> ParamPoly:
                   if cols[i] > cols[j])
         term = ParamPoly.const(n, (-1) ** inv)
         for e in choice:
-            term = term * ParamPoly.param(e.kind, e.index, n) * e.sign
+            term = term * ParamPoly.param(e.kind, e.index, n)
         total = total + term
     return total
 
@@ -79,7 +79,6 @@ def test_4x4_peels_then_one_cycle():
     b = lambda i: ParamPoly.param("b", i, 4)
     expected = a(1) * a(2) * (a(3) * a(4) - b(3) * b(4))
     assert fp.expand() == expected == brute_force_det(forced_and_cycle_matrix())
-    assert not fp.is_zero()
 
 
 def test_4x4_single_circuit():
@@ -163,7 +162,6 @@ def test_row_occupancy_rejected():
         diagonal + [(0, 1, "a", 1)],                  # an a off the diagonal
         diagonal + [(0, 0, "b", 1)],                  # a b on the diagonal
         diagonal + [(0, 1, "b", 2)],                  # another generator's b
-        diagonal + [(0, 1, "b", 1, -1)],              # a signed entry
     ]
     for triples in bad_rows:
         with pytest.raises(ValidationError):
@@ -245,8 +243,7 @@ def random_forced_and_cycles(rng: random.Random, lengths: list[int], n_tree: int
     return c2_with_row_graph(succ)
 
 
-def test_signed_entries_with_forced_and_several_circuits(rng):
-    # every entry of C(lambda) carries sign +1, so a signed one is refused
+def test_forced_and_several_circuits(rng):
     for _ in range(60):
         lengths = [rng.choice((2, 4)), 3] + rng.sample([2, 3], rng.randint(0, 1))
         n_tree = rng.randint(1, 3)
@@ -255,11 +252,6 @@ def test_signed_entries_with_forced_and_several_circuits(rng):
         assert len(dec.forced) == n_tree
         assert sorted(len(c) for c in dec.circuits) == sorted(lengths)
         assert factor_determinant(m).expand() == brute_force_det(m)
-        entries = list(m.entries)
-        k = rng.randrange(len(entries))
-        entries[k] = dataclasses.replace(entries[k], sign=-1)
-        with pytest.raises(ValidationError):
-            factor_determinant(dataclasses.replace(m, entries=tuple(entries)))
 
 
 def test_brute_force_agreement_small_random(rng):
@@ -328,15 +320,27 @@ def test_directly_built_factor_must_be_canonical_and_irreducible(a_part, b_part,
 
 
 def test_factored_poly_specialize_matches_expand(rng):
-    system = random_system(3, rng)
-    fp = factor_determinant(build_c(system, 3))
+    # the atom evaluator against the expansion, exactly and mod p, at points
+    # where some parameters are 0
     from fractions import Fraction
 
-    assignment = {f"a{i}": Fraction(rng.randint(1, 9), rng.randint(1, 4))
-                  for i in range(1, 4)}
-    assignment |= {f"b{i}": Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                   for i in range(1, 4)}
-    assert fp.specialize(assignment) == fp.expand().specialize(assignment)
+    p = 101
+    for n in range(2, 6):
+        system = random_system(n, rng)
+        for lam in range(2, n + 2):
+            fp = factor_determinant(build_c(system, lam, rng.choice(cyclic_orders(n))))
+            expanded = fp.expand()
+            for k in range(4):
+                assignment = {f"a{i}": Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                              for i in range(1, n + 1)}
+                assignment |= {f"b{i}": Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                               for i in range(1, n + 1)}
+                assert fp.specialize(assignment) == expanded.specialize(assignment)
+                avals = [rng.randrange(p) for _ in range(n)]
+                bvals = [rng.randrange(p) for _ in range(n)]
+                if k:
+                    (avals if k % 2 else bvals)[rng.randrange(n)] = 0
+                assert fp.eval_mod(avals, bvals, p) == expanded.eval_mod(avals, bvals, p)
 
 
 def test_vanishes_at_matches_specialize(rng):
@@ -362,7 +366,6 @@ def test_vanishes_at_matches_specialize(rng):
                                 for name, e in zip(names, d.monomial) if e)
             by_factor += vanishes and atoms_nonzero
     assert seen[True] and seen[False] and by_factor
-    assert FactoredPoly.zero_poly(2).vanishes_at({})
 
 
 def test_decompose_reports_chains():
@@ -392,3 +395,32 @@ def test_interface_of_the_benchmark_harness():
     assert len(dec.forced) + sum(len(c) for c in dec.circuits) == m.nrows
     fp = factor_determinant(m)
     assert isinstance(fp, FactoredPoly) and fp == delta(system, 5, cyclic_orders(4)[1])
+
+
+def _assert_pure_a_term(fp, n, lam, order):
+    # the pure-a term is prod_j a_j^paired_count(n, lam, g_j) with
+    # coefficient +1, g_j the position of j in the order: the identity
+    # permutation's term, so the determinant is never 0
+    want = [0] * n
+    for g, j in enumerate(order):
+        want[j - 1] = paired_count(n, lam, g)
+    got = list(fp.monomial[:n])
+    for f, mult in fp.factors:
+        assert not any(f.a_part[n:]), f
+        for i in range(n):
+            got[i] += mult * f.a_part[i]
+    assert got == want
+    assert not any(fp.monomial[n:])
+    assert fp.sign == 1
+
+
+def test_pure_a_term_is_the_paired_counts(rng):
+    for n in range(2, 7):
+        for _ in range(3):
+            system = random_system(n, rng)
+            for order in cyclic_orders(n):
+                for lam in range(2, n + 2):
+                    _assert_pure_a_term(delta(system, lam, order), n, lam, order)
+                    if n <= 4:
+                        _assert_pure_a_term(factor_determinant(build_c(system, lam, order)),
+                                            n, lam, order)

@@ -331,7 +331,7 @@ def _det_under(matrix, assignment: dict, p: int) -> int:
     """frac_det of the matrix with its parameters replaced, reduced mod p."""
     rows = [[Fraction(0)] * matrix.ncols for _ in range(matrix.nrows)]
     for e in matrix.entries:
-        v = e.value if e.value is not None else e.sign * assignment[f"{e.kind}{e.index}"]
+        v = e.value if e.value is not None else assignment[f"{e.kind}{e.index}"]
         rows[e.row][e.col] += v
     d = frac_det(rows)
     return d.numerator * pow(d.denominator, -1, p) % p
