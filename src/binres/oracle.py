@@ -613,15 +613,26 @@ def _random_system(n: int, rng: random.Random) -> BinomialSystem:
     return make_system(n, [rng.choice(pairs) for _ in range(n)])
 
 
+# The most rows of C(n_max + 1) that selftest builds.  n_max = 8 / 9 / 10
+# (11,440 / 43,758 / 167,960 rows) took 4.1 / 17.8 / 81.3 s at 50 / 117 /
+# 415 MB; n_max = 11 would build 646,646 rows, some 1.4-1.6 GB at that rate,
+# for minutes.
+MAX_SELFTEST_ROWS = 200_000
+
+
 def run_selftest(seed: int = 0, n_max: int = 5) -> list[SelfTestRow]:
     """Cross-check the factorization engine against the oracles."""
     if n_max < 2:
         raise ValidationError(f"selftest needs n_max >= 2, got {n_max}")
-    from .frames import _check_node_budget, cyclic_orders
+    from .frames import _check_node_budget, cyclic_orders, node_count
     from .resultant import delta, delta_chain, divides, factored_gcd, radical, resultant
 
-    # the largest walk, C(n_max + 1), is refused before n = 2 runs
+    # the largest walk and matrix, C(n_max + 1), are refused before n = 2 runs
     _check_node_budget(n_max, n_max + 1)
+    size = node_count(n_max, n_max + 1)
+    if size > MAX_SELFTEST_ROWS:
+        raise ValidationError(f"selftest --n-max {n_max} builds C({n_max + 1}) with {size:,} "
+                              f"rows, past the limit of {MAX_SELFTEST_ROWS:,}")
     rng = random.Random(seed)
     rows: list[SelfTestRow] = []
 

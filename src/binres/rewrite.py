@@ -9,8 +9,8 @@ loop product is not 1.  A loop product of exactly 1 is precisely a vanishing
 circuit factor of Delta_lambda = det C(lambda); that, and a vanishing a_j,
 raise SingularCoeffMatrixError.
 
-`reduce` reads invertibility from the symbolic Delta chain, cached per
-cofactor pattern and order, and then walks only from its input's own
+`reduce` reads invertibility from Delta_lambda of its own degree alone,
+cached per symbolic twin and degree, and then walks only from its input's own
 monomials.  `rewrite_table` resolves every monomial of one degree at once.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb, prod
 from .errors import DegreeRangeError, ModeMismatchError, SingularCoeffMatrixError, ValidationError
 from .frames import pairing_step, successor_walks
 from .polynomials import RATIONAL, Mono, XPoly, is_squarefree
-from .resultant import delta_chain
+from .resultant import delta
 from .systems import BinomialSystem
 
 
@@ -99,6 +99,8 @@ def reduce(system: BinomialSystem, f: XPoly) -> XPoly:
     """
     if f.mode != RATIONAL:
         raise ValidationError("reduce needs rational-mode input")
+    if system.mode != RATIONAL:
+        raise ValidationError("reduce needs a specialized system")
     if f.n != system.n:
         raise ModeMismatchError(f"reduce needs a polynomial in {system.n} variables, got {f.n}")
     if f.is_zero():
@@ -110,11 +112,9 @@ def reduce(system: BinomialSystem, f: XPoly) -> XPoly:
         raise DegreeRangeError(f"degree {lam} beyond the rewriting range 2..{system.n + 1}")
     if lam < 2:
         return f
-    if system.mode != RATIONAL:
-        raise ValidationError("reduce needs a specialized system")
     if any(g.a == 0 for g in system.generators):
         raise SingularCoeffMatrixError(lam)
-    if _symbolic_chain(system.symbolic_twin()).delta(lam).vanishes_at(system.assignment()):
+    if _symbolic_chain(system.symbolic_twin(), lam).vanishes_at(system.assignment()):
         raise SingularCoeffMatrixError(lam)
     if lam == system.n + 1:
         return XPoly(system.n, RATIONAL)
@@ -136,25 +136,25 @@ def reduce(system: BinomialSystem, f: XPoly) -> XPoly:
 
 
 @lru_cache(maxsize=128)
-def _symbolic_chain(symbolic_twin: BinomialSystem):
-    return delta_chain(symbolic_twin)
+def _symbolic_chain(symbolic_twin: BinomialSystem, lam: int):
+    """Delta_lam of the twin: one link of the chain, cached one at a time."""
+    return delta(symbolic_twin, lam)
 
 
 def hilbert_function(system: BinomialSystem) -> tuple[int, ...]:
     """Hilbert function of R/I for a specialized system.
 
-    The fast path reads Delta_{n+1} alone.  If it does not vanish, C(n+1) is
-    invertible, so I_{n+1} = R_{n+1}: R/I is Artinian, a complete intersection
-    whose Hilbert function is the binomial row (degrees 0..n).  `delta_chain`
-    checks that radical(Delta_lambda) divides radical(Delta_{lambda+1}), so
-    some Delta_lambda, lambda = 2..n+1, vanishes exactly when Delta_{n+1}
-    does.  Otherwise falls back to the oracle's ranks over degrees 0..2n,
-    which stop at the first zero degree (`oracle.hilbert_by_ranks`).
+    The fast path reads Delta_{n+1} alone, the entry `reduce` reads in degree
+    n+1.  If it does not vanish, C(n+1) is invertible, so I_{n+1} = R_{n+1}
+    and R/I is Artinian: the n quadrics are a complete intersection with
+    Hilbert series (1+t)^n (Cox, Little and O'Shea, *Using Algebraic
+    Geometry*, Ch. 3).  Otherwise falls back to the oracle's ranks over
+    degrees 0..2n, which stop at the first zero degree (`hilbert_by_ranks`).
     """
     if system.mode != RATIONAL:
         raise ValidationError("hilbert_function needs a specialized system")
     n = system.n
-    top = _symbolic_chain(system.symbolic_twin()).delta(n + 1)
+    top = _symbolic_chain(system.symbolic_twin(), n + 1)
     if not top.vanishes_at(system.assignment()):
         return tuple(comb(n, k) for k in range(n + 1))
     from .oracle import hilbert_by_ranks

@@ -517,6 +517,23 @@ def test_selftest_refuses_a_walk_past_the_limit_at_once(n_max, monkeypatch):
     assert "checks passed" not in out
 
 
+def test_selftest_refuses_matrices_past_the_row_limit_at_once(monkeypatch):
+    # n_max = 11 passes the walk budget, but C(12) has 646,646 rows
+    from binres import oracle
+    from binres.frames import node_count
+
+    def no_work(*args):
+        raise AssertionError("selftest started work")
+
+    monkeypatch.setattr(oracle, "build_c", no_work)
+    monkeypatch.setattr(oracle, "_random_system", no_work)
+    code, out, err = run_cli("selftest", "--n-max", "11")
+    assert code == 1
+    assert "646,646 rows, past the limit" in err and "Traceback" not in err
+    assert "checks passed" not in out
+    assert node_count(10, 11) <= oracle.MAX_SELFTEST_ROWS < node_count(11, 12)
+
+
 @pytest.mark.parametrize("extra", [[], ["--point", "1,2,3,1,1"]])
 def test_hessian_rejects_negative_k(extra):
     code, out, err = run_cli("hessian", "--which", "G", "--p", "1,1,1,1,1", "--k", "-1", *extra)

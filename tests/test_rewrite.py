@@ -15,8 +15,8 @@ from binres.errors import (
 )
 from binres.oracle import membership, quotient_dim
 from binres.polynomials import RATIONAL, XPoly, monomials
-from binres.resultant import delta_chain, resultant_eval
-from binres.rewrite import _cached_table, hilbert_function, reduce, rewrite_table
+from binres.resultant import delta, delta_chain, resultant_eval
+from binres.rewrite import _cached_table, _symbolic_chain, hilbert_function, reduce, rewrite_table
 from binres.systems import cyclic_system, make_system
 
 from conftest import random_specialization, random_system
@@ -101,6 +101,14 @@ def test_reduce_rejects_other_variable_count(m):
     # an n = 2 system against polynomials in 3 variables
     with pytest.raises(ModeMismatchError):
         reduce(spec2(), XPoly(3, RATIONAL, {m: Fraction(1)}))
+
+
+@pytest.mark.parametrize("terms", [{}, {(0, 0): 3}, {(1, 0): 3}, {(2, 0): 3}],
+                         ids=["zero", "degree0", "degree1", "degree2"])
+def test_reduce_rejects_a_symbolic_system_in_every_degree(terms):
+    f = XPoly(2, RATIONAL, {m: Fraction(c) for m, c in terms.items()})
+    with pytest.raises(ValidationError, match="reduce needs a specialized system"):
+        reduce(make_system(2, [(1, 2), (1, 2)]), f)
 
 
 def test_rewrite_table_rejects_symbolic():
@@ -305,3 +313,57 @@ def test_reduce_builds_no_table(rng):
     for lam in range(2, 6):
         reduce(system, XPoly(4, RATIONAL, {m: Fraction(1) for m in monomials(4, lam)}))
     assert _cached_table.cache_info() == before
+
+
+def _generic_cyclic(n, rng):
+    return cyclic_system(n, (2, 3)).specialize(
+        {f"a{i}": Fraction(rng.randint(1, 9), rng.randint(1, 5)) for i in range(1, n + 1)}
+        | {f"b{i}": Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+           for i in range(1, n + 1)})
+
+
+def test_reduce_computes_delta_in_its_own_degree_alone(rng, monkeypatch):
+    import binres.rewrite
+
+    degrees = []
+
+    def spy(system, lam):
+        degrees.append(lam)
+        return delta(system, lam)
+
+    monkeypatch.setattr(binres.rewrite, "delta", spy)
+    _symbolic_chain.cache_clear()
+    n = 5
+    spec = _generic_cyclic(n, rng)
+    for lam in (4, 2, 6, 3, 4, 5, 2):
+        reduce(spec, XPoly(n, RATIONAL, {m: Fraction(1) for m in monomials(n, lam)}))
+    assert degrees == [4, 2, 6, 3, 5]
+
+
+def test_hilbert_then_top_degree_reduce_costs_one_miss(rng):
+    n = 5
+    spec = _generic_cyclic(n, rng)
+    _symbolic_chain.cache_clear()
+    assert hilbert_function(spec) == tuple(comb(n, k) for k in range(n + 1))
+    f = XPoly(n, RATIONAL, {m: Fraction(1) for m in monomials(n, n + 1)})
+    assert reduce(spec, f).is_zero()
+    info = _symbolic_chain.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_degree3_reduce_at_n12_equals_the_table_path(rng):
+    # C(13) is past the walk budget; degree 3 walks 364 monomials
+    n = 12
+    spec = _generic_cyclic(n, rng)
+    for m in monomials(n, 3):
+        f = XPoly(n, RATIONAL, {m: Fraction(rng.randint(1, 5))})
+        assert _outcome(reduce, spec, f) == _outcome(_table_reduce, spec, f), m
+
+
+def test_hilbert_at_n12_is_refused_before_any_walk(rng, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a degree was walked")
+
+    monkeypatch.setattr("binres.frames.monomials", no_walk)
+    with pytest.raises(ValidationError, match="past the limit"):
+        hilbert_function(_generic_cyclic(12, rng))
